@@ -182,9 +182,8 @@ void CrcKernels() {
 // cache would otherwise serve every "device" read from DRAM and hide
 // exactly the cost the tier removes, so the bench models the storage a
 // deployment actually has (a fast NVMe-class device) instead of the
-// benchmark artifact. The same volume is reopened cache-off, cache-on
-// (compression on) and cache-on (compression off); tools/run_checks.sh
-// gates on the committed BENCH_9.json numbers: hot-set speedup >= 3x, hit
+// benchmark artifact. The same volume is reopened cache-off and cache-on;
+// tools/run_checks.sh gates on the committed BENCH_9.json numbers: hot-set speedup >= 3x, hit
 // rate >= 80%, cold-set (uniform, mostly-miss) within 10% of cache-off,
 // and foreground p99 flat.
 
@@ -223,8 +222,7 @@ class ZipfPicker {
   std::vector<double> cdf_;
 };
 
-// Mildly compressible payload (value runs with seeded switches), the shape
-// the probation-compression scenario is about.
+// Run-structured payload: byte-value runs with seeded switches.
 Bytes RunStructuredBytes(Random* rng, size_t n) {
   Bytes b(n);
   uint8_t v = static_cast<uint8_t>(rng->Next());
@@ -273,19 +271,17 @@ ZipfPhase RunZipfReads(Database* db, const std::vector<uint64_t>& ids,
 struct ZipfRun {
   ZipfPhase hot;
   ZipfPhase cold;
-  double hit_rate = 0;           // timed hot phase, percent
-  double compression_ratio = 1;  // logical/resident at end of hot phase
+  double hit_rate = 0;  // timed hot phase, percent
 };
 
 ZipfRun RunZipfConfig(const std::string& path, size_t cache_bytes,
-                      bool compression, const std::vector<uint64_t>& ids,
+                      const std::vector<uint64_t>& ids,
                       const ZipfPicker& zipf) {
   DatabaseOptions opt;
   opt.page_size = 4096;
   opt.checksums = true;
   opt.lob.max_segment_pages = 8;
   opt.cache_bytes = cache_bytes;
-  opt.cache_compression = compression;
   auto file = Stack::Unwrap(FilePageDevice::Open(path, opt.page_size),
                             "zipf device");
   auto chaos = std::make_unique<ChaosPageDevice>(std::move(file));
@@ -308,10 +304,6 @@ ZipfRun RunZipfConfig(const std::string& path, size_t cache_bytes,
     uint64_t hits = after.hits - before.hits;
     uint64_t lookups = hits + after.misses - before.misses;
     run.hit_rate = lookups > 0 ? 100.0 * hits / lookups : 0.0;
-    if (after.resident_bytes > 0) {
-      run.compression_ratio = static_cast<double>(after.logical_bytes) /
-                              static_cast<double>(after.resident_bytes);
-    }
     // The cold phase measures the mostly-miss path, not a warm cache.
     db->extent_cache()->Clear();
   }
@@ -345,24 +337,17 @@ void ZipfScenario() {
     Stack::Check(db->Flush(), "zipf flush");
   }
 
-  ZipfRun off = RunZipfConfig(path, 0, false, ids, ZipfPicker(kZipfObjects,
-                                                              kZipfSkew));
-  ZipfRun on = RunZipfConfig(path, kZipfCacheBytes, true, ids,
+  ZipfRun off =
+      RunZipfConfig(path, 0, ids, ZipfPicker(kZipfObjects, kZipfSkew));
+  ZipfRun on = RunZipfConfig(path, kZipfCacheBytes, ids,
                              ZipfPicker(kZipfObjects, kZipfSkew));
-  ZipfRun on_nc = RunZipfConfig(path, kZipfCacheBytes, false, ids,
-                                ZipfPicker(kZipfObjects, kZipfSkew));
   std::remove(path.c_str());
 
   Emit("zipf_hot_cacheoff_kops", off.hot.kops);
   Emit("zipf_hot_cacheon_kops", on.hot.kops);
-  Emit("zipf_hot_cacheon_nocomp_kops", on_nc.hot.kops);
   double speedup = off.hot.kops > 0 ? on.hot.kops / off.hot.kops : 0.0;
-  double speedup_nc = off.hot.kops > 0 ? on_nc.hot.kops / off.hot.kops : 0.0;
   Emit("zipf_hot_speedup", speedup);
-  Emit("zipf_hot_speedup_nocomp", speedup_nc);
   Emit("zipf_hit_rate", on.hit_rate);
-  Emit("zipf_hit_rate_nocomp", on_nc.hit_rate);
-  Emit("zipf_compression_ratio", on.compression_ratio);
   Emit("zipf_cold_cacheoff_kops", off.cold.kops);
   Emit("zipf_cold_cacheon_kops", on.cold.kops);
   Emit("zipf_cold_ratio",
@@ -370,9 +355,8 @@ void ZipfScenario() {
   Emit("zipf_hot_p99_ratio",
        off.hot.p99_us > 0 ? on.hot.p99_us / off.hot.p99_us : 0.0);
   std::printf("zipf(%.2f) hot 4K reads:       off %7.1f kops/s   on %7.1f "
-              "kops/s   (%.2fx, hit %.1f%%, packed %.2fx)\n",
-              kZipfSkew, off.hot.kops, on.hot.kops, speedup, on.hit_rate,
-              on.compression_ratio);
+              "kops/s   (%.2fx, hit %.1f%%)\n",
+              kZipfSkew, off.hot.kops, on.hot.kops, speedup, on.hit_rate);
   std::printf("zipf uniform cold 4K reads:   off %7.1f kops/s   on %7.1f "
               "kops/s   (%.2fx)   p99 %.1f -> %.1f us\n",
               off.cold.kops, on.cold.kops,

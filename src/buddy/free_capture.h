@@ -31,17 +31,13 @@ namespace eos {
 // latch exclusively around the scope).
 class ScopedFreeCapture final : public FreeInterceptor {
  public:
-  // When `enabled` is false the scope is inert — callers can wrap code
-  // unconditionally and let a mode flag decide.
-  ScopedFreeCapture(SegmentAllocator* allocator, bool enabled)
-      : allocator_(allocator), enabled_(enabled) {
-    if (!enabled_) return;
-    previous_ = allocator_->free_interceptor();
+  explicit ScopedFreeCapture(SegmentAllocator* allocator)
+      : allocator_(allocator), previous_(allocator->free_interceptor()) {
     allocator_->set_free_interceptor(this);
   }
 
   ~ScopedFreeCapture() override {
-    if (enabled_) allocator_->set_free_interceptor(previous_);
+    allocator_->set_free_interceptor(previous_);
   }
 
   ScopedFreeCapture(const ScopedFreeCapture&) = delete;
@@ -60,8 +56,7 @@ class ScopedFreeCapture final : public FreeInterceptor {
 
  private:
   SegmentAllocator* allocator_;
-  bool enabled_;
-  FreeInterceptor* previous_ = nullptr;
+  FreeInterceptor* previous_;
   std::vector<Extent> captured_;
 };
 

@@ -246,16 +246,6 @@ Status SegmentAllocator::Free(const Extent& extent) {
   return FreeInternal(extent);
 }
 
-Status SegmentAllocator::FreeForUnwind(const Extent& extent) {
-  if (!extent.valid()) return Status::InvalidArgument("invalid extent");
-  // Drop cached frames first: a stale dirty frame flushed later would
-  // trample whatever next reuses these pages.
-  for (uint32_t i = 0; i < extent.pages; ++i) {
-    pager_->Invalidate(extent.first + i);
-  }
-  return FreeInternal(extent);
-}
-
 void SegmentAllocator::RestorePageImage(PageId page, const Bytes& image) {
   auto h = pager_->Zeroed(page);
   if (!h.ok()) return;  // unwind is best-effort on I/O failure
@@ -264,6 +254,12 @@ void SegmentAllocator::RestorePageImage(PageId page, const Bytes& image) {
 }
 
 Status SegmentAllocator::FreeInternal(const Extent& extent) {
+  // Drop cached frames first, while no one can reuse the pages yet: a
+  // stale dirty frame flushed later would trample whatever next reuses
+  // them. Nothing references the extent any more, so its bytes are dead.
+  for (uint32_t i = 0; i < extent.pages; ++i) {
+    pager_->Invalidate(extent.first + i);
+  }
   LatchGuard g(op_latch_);
   uint32_t space, local;
   EOS_RETURN_IF_ERROR(Locate(extent.first, &space, &local));

@@ -224,15 +224,14 @@ class SegmentAllocator {
  private:
   friend class SpaceReservation;
 
-  // Unwind path of SpaceReservation: frees an extent immediately, skipping
-  // the reservation and any interceptor (no durable root ever referenced
-  // it), and drops stale cached frames of its pages.
-  Status FreeForUnwind(const Extent& extent);
-
   // Unwind path of SpaceReservation: rewrites a page from its saved image.
   void RestorePageImage(PageId page, const Bytes& image);
 
-  // The latched buddy free shared by Free() and FreeForUnwind().
+  // The latched buddy free behind Free(). SpaceReservation's unwind calls it
+  // directly, skipping the reservation and any interceptor (no durable
+  // root ever referenced the operation's own allocations). Drops the
+  // cached frames of the extent's pages first: only here does the extent
+  // stop being reachable from any tree, version or unwound operation.
   Status FreeInternal(const Extent& extent);
 
   // Counts the call and fires the armed test fault, if any (under op_latch_).

@@ -106,7 +106,7 @@ void SpaceReservation::Unwind() {
   //    cached frames are dropped so a stale flush can never trample a
   //    future reuse of the page.
   for (size_t i = tracked_.size(); i-- > 0;) {
-    Status s = allocator_->FreeForUnwind(tracked_[i]);
+    Status s = allocator_->FreeInternal(tracked_[i]);
     if (!s.ok()) {
       // The buddy maps were unreachable (e.g. a volume outage mid-unwind).
       // Park the extent on the allocator's retry list instead of leaking

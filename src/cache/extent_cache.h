@@ -31,11 +31,7 @@ namespace eos {
 //     protected segment (bounded to `protected_fraction` of the budget,
 //     overflow demotes back to probation), and victims come from the
 //     probation tail first.
-//   * Optionally (options.compress) probation-resident images are stored
-//     compressed (common/compress.h) when they shrink by at least 1/8;
-//     promotion to the protected segment inflates the image back to raw,
-//     so steady-state hot hits are a pure memcpy while the cold tail packs
-//     2-4x more logical bytes into the same DRAM.
+//   * Images are stored raw, so every hit is a pure memcpy.
 //
 // Thread-safe; the key/LRU state is sharded (kShards latches) and every
 // latch here is a leaf — the cache never calls back into the engine — so
@@ -45,7 +41,6 @@ class ExtentCache {
  public:
   struct Options {
     size_t capacity_bytes = 0;       // total resident budget, all shards
-    bool compress = true;            // compress probation-resident images
     double protected_fraction = 0.8; // hot-segment share of the budget
   };
 
@@ -57,10 +52,8 @@ class ExtentCache {
     uint64_t rejected = 0;     // failed frequency-based admission
     uint64_t evicted = 0;
     uint64_t invalidated = 0;
-    uint64_t resident_bytes = 0;  // stored (possibly compressed) bytes
-    uint64_t logical_bytes = 0;   // uncompressed bytes represented
+    uint64_t resident_bytes = 0;
     uint64_t entries = 0;
-    uint64_t compressed_entries = 0;
   };
 
   explicit ExtentCache(const Options& options);
@@ -89,7 +82,7 @@ class ExtentCache {
   bool WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
                   size_t len) const;
 
-  // Offers a whole extent image of `len` logical bytes for admission.
+  // Offers a whole extent image of `len` bytes for admission.
   // May be rejected (frequency too low under pressure) or evict others.
   void Insert(uint64_t object_id, uint64_t vseq, PageId first,
               const uint8_t* data, size_t len);
@@ -130,9 +123,7 @@ class ExtentCache {
 
   struct Entry {
     Key key;
-    Bytes image;           // stored bytes (compressed when `compressed`)
-    uint32_t logical = 0;  // uncompressed length
-    bool compressed = false;
+    Bytes image;
     bool is_protected = false;
     std::list<Key>::iterator lru_it;  // position in its segment's list
   };
@@ -143,7 +134,6 @@ class ExtentCache {
     std::list<Key> probation;  // front = most recent
     std::list<Key> protect;
     size_t resident_bytes = 0;
-    size_t logical_bytes = 0;
     size_t protected_bytes = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -151,7 +141,6 @@ class ExtentCache {
     uint64_t rejected = 0;
     uint64_t evicted = 0;
     uint64_t invalidated = 0;
-    uint64_t compressed_entries = 0;
   };
 
   Shard& ShardFor(const Key& k) const;
@@ -175,7 +164,6 @@ class ExtentCache {
   const size_t capacity_;
   const size_t shard_capacity_;
   const size_t shard_protected_cap_;
-  const bool compress_;
 
   mutable std::array<Shard, kShards> shards_;
   std::array<std::atomic<uint8_t>, kSketchSlots> sketch_{};
@@ -188,7 +176,6 @@ class ExtentCache {
   obs::Counter* m_evict_;
   obs::Counter* m_invalidate_;
   obs::Gauge* m_resident_;
-  obs::Gauge* m_logical_;
 };
 
 // Ambient (thread-local) cache binding. The Database installs one around a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <set>
 #include <thread>
 
 #include "buddy/free_capture.h"
@@ -62,7 +64,7 @@ Database::~Database() {
   // any member is torn down (and before the final flush, so the flush sees
   // a quiesced volume).
   if (defrag_ != nullptr) defrag_->Stop();
-  if (options_.mvcc && allocator_ != nullptr) {
+  if (allocator_ != nullptr) {
     // Snapshots must not outlive the database; collapse every chain and
     // reclaim the retired storage so a cleanly closed volume reopens
     // leak-free (the allocation maps are durable even without crash_safe).
@@ -189,6 +191,10 @@ StatusOr<std::unique_ptr<Database>> Database::OpenOnVolumeSet(
 StatusOr<std::unique_ptr<Database>> Database::Init(
     std::unique_ptr<PageDevice> device, const DatabaseOptions& options,
     bool fresh) {
+  if (!options.mvcc) {
+    return Status::InvalidArgument(
+        "DatabaseOptions::mvcc must stay true: every Database is MVCC");
+  }
   std::unique_ptr<Database> db(new Database());
   db->options_ = options;
   // Stack the integrity layer under everything else. Fresh volumes opt in
@@ -255,22 +261,18 @@ StatusOr<std::unique_ptr<Database>> Database::Init(
   if (options.parallel_io) {
     db->lob_->set_io_executor(IoExecutor::Default());
   }
+  // Snapshot readers traverse superseded versions while writers publish
+  // new ones; no page a pinned version references may ever be rewritten in
+  // place, so shadowed index nodes and CoW Replace are mandatory.
+  db->lob_->set_shadowing(true);
+  db->lob_->set_cow_replace(true);
   if (options.crash_safe) {
-    db->lob_->set_shadowing(true);
     db->deferred_frees_ = std::make_unique<CheckpointFreeList>();
     db->allocator_->set_free_interceptor(db->deferred_frees_.get());
-  }
-  if (options.mvcc) {
-    // Snapshot readers traverse superseded versions while writers publish
-    // new ones; no page a pinned version references may ever be rewritten
-    // in place, so shadowed index nodes and CoW Replace are mandatory.
-    db->lob_->set_shadowing(true);
-    db->lob_->set_cow_replace(true);
   }
   if (options.cache_bytes > 0) {
     ExtentCache::Options copt;
     copt.capacity_bytes = options.cache_bytes;
-    copt.compress = options.cache_compression;
     db->cache_ = std::make_unique<ExtentCache>(copt);
   }
   if (fresh) {
@@ -278,7 +280,7 @@ StatusOr<std::unique_ptr<Database>> Database::Init(
   } else {
     EOS_RETURN_IF_ERROR(db->LoadDirectory());
   }
-  if (options.mvcc) db->SeedVersionChains();
+  db->SeedVersionChains();
   db->defrag_ = std::make_unique<Defragmenter>(
       static_cast<DefragHost*>(db.get()), db->lob_.get(), options.defrag);
   if (options.defrag.enabled) db->defrag_->Start();
@@ -447,7 +449,7 @@ StatusOr<uint64_t> Database::CreateObjectLocked() {
   LobDescriptor d = lob_->CreateEmpty();
   Bytes root = d.Serialize();
   directory_.emplace_back(id, root);
-  if (options_.mvcc) PublishVersion(id, root, d.lsn, /*dead=*/false);
+  PublishVersion(id, root, d.lsn, /*dead=*/false);
   TouchLocked(id);
   Status s = SaveDirectory();
   if (!s.ok()) return span.Close(std::move(s));
@@ -460,28 +462,21 @@ StatusOr<uint64_t> Database::CreateObject() {
 }
 
 StatusOr<uint64_t> Database::CreateObjectFrom(ByteView data) {
+  obs::ScopedOp span("db.create_object_from", 0, device_.get());
   uint64_t id = 0;
   uint64_t commit_lsn = 0;
   {
     ExclusiveLatchGuard guard(dir_latch_);
     EOS_ASSIGN_OR_RETURN(id, CreateObjectLocked());
-    obs::ScopedOp span("db.create_object_from", id, device_.get());
-    if (log_ != nullptr) log_->set_current_object(id);
     // Append (not CreateFrom) so the initial content is a logged operation;
     // a one-shot append of a known size produces the same exact layout.
-    LobDescriptor d = lob_->CreateEmpty();
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Append(&d, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
+    Status s = MutateObjectLocked(
+        id, /*reclaims=*/false,
+        [&](LobDescriptor* d) { return lob_->Append(d, data); }, &commit_lsn);
     if (!s.ok()) return span.Close(std::move(s));
   }
-  EOS_RETURN_IF_ERROR(SyncCommit(commit_lsn));
+  Status s = SyncCommit(commit_lsn);
+  if (!s.ok()) return span.Close(std::move(s));
   return id;
 }
 
@@ -512,41 +507,59 @@ void Database::SetObjectThreshold(uint64_t id, uint32_t threshold_pages) {
 }
 
 Status Database::ReorganizeObject(uint64_t id) {
-  ExclusiveLatchGuard guard(dir_latch_);
-  obs::ScopedOp span("db.reorganize", id, device_.get());
-  Status adm = allocator_->AdmitMutation();
-  if (!adm.ok()) return span.Close(std::move(adm));
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
+  return MutateObject("db.reorganize", id, /*reclaims=*/false,
+                      [&](LobDescriptor* d) { return lob_->Reorganize(d); });
+}
+
+Status Database::MutateObject(const char* op, uint64_t id, bool reclaims,
+                              const LobCall& lob_call) {
+  obs::ScopedOp span(op, id, device_.get());
+  uint64_t commit_lsn = 0;
+  Status s;
   {
-    ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-    Status s = lob_->Reorganize(&d);
-    if (!s.ok()) return span.Close(std::move(s));
+    ExclusiveLatchGuard guard(dir_latch_);
+    s = MutateObjectLocked(id, reclaims, lob_call, &commit_lsn);
+  }
+  if (s.ok()) s = SyncCommit(commit_lsn);
+  return span.Close(std::move(s));
+}
+
+Status Database::MutateObjectLocked(uint64_t id, bool reclaims,
+                                    const LobCall& lob_call,
+                                    uint64_t* commit_lsn) {
+  // Deletes net-free storage, so they are always admitted — and their
+  // transient allocations (subtree rebuilds, node shadows) may draw on the
+  // emergency reserve: refusing the one operation that reclaims space
+  // would wedge a full volume.
+  std::optional<SegmentAllocator::EmergencyScope> emergency;
+  if (reclaims) {
+    emergency.emplace();
+  } else {
+    EOS_RETURN_IF_ERROR(allocator_->AdmitMutation());
+  }
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
+  if (log_ != nullptr) log_->set_current_object(id);
+  {
+    ScopedFreeCapture capture(allocator_.get());
+    EOS_RETURN_IF_ERROR(lob_call(&d));
     pending_retired_ = capture.TakeCaptured();
   }
-  return span.Close(PutRootLocked(id, d));
+  TouchLocked(id);
+  EOS_RETURN_IF_ERROR(PutRootLocked(id, d));
+  return CommitMutationLocked(id, commit_lsn);
 }
 
 Status Database::PutRootLocked(uint64_t id, const LobDescriptor& d) {
   for (auto& [oid, root] : directory_) {
     if (oid == id) {
       root = d.Serialize();
-      if (cache_ != nullptr && !options_.mvcc) {
-        // Without version chains the cache key is the per-object mutation
-        // generation; bump it and drop the dead generation's entries (the
-        // new root may reuse leaf extents the old one wrote in place).
-        uint64_t& gen = cache_gen_[id];
-        gen = gen == 0 ? 2 : gen + 1;
-        cache_->InvalidateObject(id);
-      }
       // Publish before the directory save: the in-memory root above is the
       // current version from here on even if the save fails (the next
       // successful save persists it), and snapshot pins must track it.
-      if (options_.mvcc) PublishVersion(id, root, d.lsn, /*dead=*/false);
+      PublishVersion(id, root, d.lsn, /*dead=*/false);
       Status s = SaveDirectory();
-      if (options_.mvcc) {
-        Status gc = DrainVersionGcLocked();
-        if (s.ok()) s = std::move(gc);
-      }
+      Status gc = DrainVersionGcLocked();
+      if (s.ok()) s = std::move(gc);
       return s;
     }
   }
@@ -589,7 +602,7 @@ Status Database::DropObject(uint64_t id) {
       // (and the follow-up directory save) working on a full volume.
       SegmentAllocator::EmergencyScope emergency;
       {
-        ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
+        ScopedFreeCapture capture(allocator_.get());
         Status s = lob_->Destroy(&d);
         if (!s.ok()) return span.Close(std::move(s));
         pending_retired_ = capture.TakeCaptured();
@@ -597,15 +610,9 @@ Status Database::DropObject(uint64_t id) {
       directory_.erase(directory_.begin() + i);
       holes_.erase(id);
       last_mutation_.erase(id);
-      if (cache_ != nullptr && !options_.mvcc) {
-        cache_gen_.erase(id);
-        cache_->InvalidateObject(id);
-      }
-      if (options_.mvcc) {
-        // Drop marker: open snapshots keep reading the final content
-        // version; the tree's extents free once the last pin releases.
-        PublishVersion(id, Bytes{}, 0, /*dead=*/true);
-      }
+      // Drop marker: open snapshots keep reading the final content version;
+      // the tree's extents free once the last pin releases.
+      PublishVersion(id, Bytes{}, 0, /*dead=*/true);
       Status s = SaveDirectory();
       if (!s.ok()) return span.Close(std::move(s));
       s = CommitMutationLocked(id, &commit_lsn);
@@ -641,105 +648,31 @@ StatusOr<Bytes> Database::Read(uint64_t id, uint64_t offset, uint64_t n) {
 }
 
 Status Database::Append(uint64_t id, ByteView data) {
-  obs::ScopedOp span("db.append", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    ExclusiveLatchGuard guard(dir_latch_);
-    Status adm = allocator_->AdmitMutation();
-    if (!adm.ok()) return span.Close(std::move(adm));
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Append(&d, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  return MutateObject("db.append", id, /*reclaims=*/false,
+                      [&](LobDescriptor* d) { return lob_->Append(d, data); });
 }
 
 Status Database::Insert(uint64_t id, uint64_t offset, ByteView data) {
-  obs::ScopedOp span("db.insert", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    ExclusiveLatchGuard guard(dir_latch_);
-    Status adm = allocator_->AdmitMutation();
-    if (!adm.ok()) return span.Close(std::move(adm));
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Insert(&d, offset, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  return MutateObject("db.insert", id, /*reclaims=*/false,
+                      [&](LobDescriptor* d) {
+                        return lob_->Insert(d, offset, data);
+                      });
 }
 
 Status Database::Delete(uint64_t id, uint64_t offset, uint64_t n) {
-  obs::ScopedOp span("db.delete", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    ExclusiveLatchGuard guard(dir_latch_);
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    // Deletes net-free storage, so they are always admitted — and their
-    // transient allocations (subtree rebuilds, node shadows) may draw on the
-    // emergency reserve: refusing the one operation that reclaims space
-    // would wedge a full volume.
-    SegmentAllocator::EmergencyScope emergency;
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Delete(&d, offset, n);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  return MutateObject("db.delete", id, /*reclaims=*/true,
+                      [&](LobDescriptor* d) {
+                        return lob_->Delete(d, offset, n);
+                      });
 }
 
 Status Database::Replace(uint64_t id, uint64_t offset, ByteView data) {
-  obs::ScopedOp span("db.replace", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    ExclusiveLatchGuard guard(dir_latch_);
-    // Replace rewrites bytes in place and allocates nothing, but it is
-    // still a logged user mutation; only reads and deletes stay admitted
-    // when full. (Under mvcc it *does* allocate: copy-on-write leaves.)
-    Status adm = allocator_->AdmitMutation();
-    if (!adm.ok()) return span.Close(std::move(adm));
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Replace(&d, offset, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  // Copy-on-write leaves allocate, so Replace is admitted like any other
+  // growing mutation; only reads and deletes stay admitted when full.
+  return MutateObject("db.replace", id, /*reclaims=*/false,
+                      [&](LobDescriptor* d) {
+                        return lob_->Replace(d, offset, data);
+                      });
 }
 
 StatusOr<LobStats> Database::ObjectStats(uint64_t id) {
@@ -826,27 +759,20 @@ Status Database::Recover(const std::vector<LogRecord>& log) {
 
 Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   obs::ScopedOp span("db.recover", 0, device_.get());
-  if (options_.mvcc) {
-    // Recovery rebuilds the allocation maps from durable reachability;
-    // volatile version chains reference storage those maps would reclaim,
-    // so a snapshot surviving across recovery would read freed pages.
-    if (HasOpenPins()) {
-      return span.Close(
-          Status::Busy("open snapshots pin pre-recovery versions; release "
-                       "all snapshots before Recover()"));
-    }
-    LatchGuard vguard(versions_latch_);
-    versions_.clear();
-    gc_ready_.clear();
-    pending_retired_.clear();
+  // Recovery rebuilds the allocation maps from durable reachability;
+  // volatile version chains reference storage those maps would reclaim, so
+  // a snapshot surviving across recovery would read freed pages.
+  if (HasOpenPins()) {
+    return span.Close(
+        Status::Busy("open snapshots pin pre-recovery versions; release "
+                     "all snapshots before Recover()"));
   }
+  DropVersionsLocked({});
   if (cache_ != nullptr) {
     // Recovery may rewrite object content without advancing the in-memory
-    // version tags (SeedVersionChains restarts every chain at vseq 1, and
-    // the non-mvcc generations describe pre-crash mutations); every cached
-    // image is suspect, so drop them all.
+    // version tags (SeedVersionChains restarts every chain at vseq 1); every
+    // cached image is suspect, so drop them all.
     cache_->Clear();
-    cache_gen_.clear();
   }
   // Deserialize every durable root. These are trustworthy: write-through
   // ordering guarantees a durable root only references durable pages.
@@ -871,21 +797,29 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   Status s = allocator_->WipeAndRebuild(live);
   if (!s.ok()) return span.Close(std::move(s));
 
-  // Phase 2: objects only the log knows about (their creation never became
-  // durable) start from an empty root; RecoverObject leaves them empty
-  // unless the log carries a commit for them.
-  for (const LogRecord& r : log) {
-    if (r.object_id == 0) continue;
-    if (roots.find(r.object_id) == roots.end()) {
-      roots[r.object_id] = lob_->CreateEmpty();
+  // Phase 2: split the log by object in one pass, so each object below
+  // walks only its own records. Objects only the log knows about (their
+  // creation never became durable) start from an empty root;
+  // RecoverObject leaves them empty unless the log carries a commit for
+  // them.
+  const std::map<uint64_t, Recovery::ObjectLog> by_object =
+      Recovery::GroupByObject(log);
+  for (const auto& [id, records] : by_object) {
+    if (id != 0 && roots.find(id) == roots.end()) {
+      roots[id] = lob_->CreateEmpty();
     }
   }
+  static const Recovery::ObjectLog kNoRecords;
+  auto records_of = [&](uint64_t id) -> const Recovery::ObjectLog& {
+    auto it = by_object.find(id);
+    return it == by_object.end() ? kNoRecords : it->second;
+  };
 
   // Phase 3: per object, redo the committed tail and remove in-flight
   // effects.
   Recovery rec(lob_.get());
   for (auto& [id, d] : roots) {
-    s = rec.RecoverObject(&d, id, log);
+    s = rec.RecoverObject(&d, records_of(id));
     if (!s.ok()) return span.Close(std::move(s));
   }
 
@@ -894,25 +828,21 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   // committed record for it — if the durable directory listed it (i.e. it
   // was untouched since the last checkpoint, or an uncommitted destroy had
   // already rewritten the directory).
-  std::vector<std::pair<uint64_t, Bytes>> old_directory;
-  old_directory.swap(directory_);
+  std::set<uint64_t> durable_ids;
+  for (const auto& [id, root] : directory_) durable_ids.insert(id);
+  directory_.clear();
   for (auto& [id, d] : roots) {
-    uint64_t commit_lsn = Recovery::LastCommitLsn(id, log);
+    const Recovery::ObjectLog& records = records_of(id);
+    uint64_t commit_lsn = Recovery::LastCommitLsn(records);
     bool has_committed = false;
     bool destroyed = false;
-    for (const LogRecord& r : log) {
-      if (r.object_id != id || r.op == LogOp::kCommit) continue;
-      if (r.lsn > commit_lsn) break;
+    for (const LogRecord* r : records) {
+      if (r->op == LogOp::kCommit) continue;
+      if (r->lsn > commit_lsn) break;
       has_committed = true;
-      destroyed = (r.op == LogOp::kDestroy);
+      destroyed = (r->op == LogOp::kDestroy);
     }
-    bool keep;
-    if (has_committed) {
-      keep = !destroyed;
-    } else {
-      keep = std::any_of(old_directory.begin(), old_directory.end(),
-                         [id = id](const auto& e) { return e.first == id; });
-    }
+    bool keep = has_committed ? !destroyed : durable_ids.count(id) > 0;
     if (keep) directory_.emplace_back(id, d.Serialize());
     if (id >= next_object_id_) next_object_id_ = id + 1;
   }
@@ -922,7 +852,7 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   if (!s.ok()) return span.Close(std::move(s));
   // The recovered directory is the ground truth now; every chain restarts
   // from its durable root.
-  if (options_.mvcc) SeedVersionChains();
+  SeedVersionChains();
   return span.Close(Status::OK());
 }
 
@@ -972,27 +902,24 @@ Status Database::LeakCheck(LeakCheckReport* report) {
   //     folding them into `refs` would misreport that intentional sharing
   //     as doubly-referenced storage.
   std::vector<Extent> vrefs;
-  if (options_.mvcc) {
-    std::vector<Bytes> vroots;
-    {
-      LatchGuard vguard(versions_latch_);
-      for (const auto& [id, chain] : versions_) {
-        for (const ObjectVersion& v : chain) {
-          if (!v.dead) vroots.push_back(v.root);
-          for (const Extent& e : v.retired) vrefs.push_back(e);
-        }
+  std::vector<Bytes> vroots;
+  {
+    LatchGuard vguard(versions_latch_);
+    for (const auto& [id, chain] : versions_) {
+      for (const ObjectVersion& v : chain) {
+        if (!v.dead) vroots.push_back(v.root);
+        for (const Extent& e : v.retired) vrefs.push_back(e);
       }
-      for (const Extent& e : gc_ready_) vrefs.push_back(e);
     }
-    for (const Bytes& root : vroots) {
-      EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
-      EOS_RETURN_IF_ERROR(lob_->CollectExtents(d, &vrefs));
-    }
-    std::sort(vrefs.begin(), vrefs.end(),
-              [](const Extent& a, const Extent& b) {
-                return a.first < b.first;
-              });
+    for (const Extent& e : gc_ready_) vrefs.push_back(e);
   }
+  for (const Bytes& root : vroots) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+    EOS_RETURN_IF_ERROR(lob_->CollectExtents(d, &vrefs));
+  }
+  std::sort(vrefs.begin(), vrefs.end(), [](const Extent& a, const Extent& b) {
+    return a.first < b.first;
+  });
   // 2. Overlaps between references: two trees claiming the same storage.
   std::sort(refs.begin(), refs.end(), [](const Extent& a, const Extent& b) {
     return a.first < b.first;
@@ -1159,7 +1086,7 @@ Status Database::RepairObject(uint64_t id) {
   // Salvage reads heal from the mirror copy where one exists, so holes are
   // zero-filled only when no replica survives either.
   VolumeRepairScope repair_scope(volume_set_);
-  if (options_.mvcc && HasOpenPins()) {
+  if (HasOpenPins()) {
     // The rebuild below reclaims everything unreachable from current
     // roots, which includes whatever superseded versions still reference.
     return span.Close(
@@ -1196,22 +1123,16 @@ Status Database::RepairObject(uint64_t id) {
   // reachability, as crash recovery does. Parked deferred frees describe
   // extents by the same unreachable trees; drop them (WipeAndRebuild
   // frees everything unreachable anyway, and the roots become durable at
-  // the Flush below, so early reuse is safe).
-  if (deferred_frees_ != nullptr) (void)deferred_frees_->TakeAll();
-  // Version chains reference the same untrusted trees; with no pins open
-  // (checked above) they are dropped outright and reseeded from the
-  // repaired directory once the rebuild is durable.
-  if (options_.mvcc) {
-    LatchGuard vguard(versions_latch_);
-    versions_.clear();
-    gc_ready_.clear();
-    pending_retired_.clear();
-  }
+  // the Flush below, so early reuse is safe). Version chains reference
+  // the same untrusted trees; with no pins open (checked above) they are
+  // dropped outright and reseeded from the repaired directory once the
+  // rebuild is durable.
+  DropVersionsLocked(deferred_frees_ != nullptr ? deferred_frees_->TakeAll()
+                                                : std::vector<Extent>{});
   if (cache_ != nullptr) {
     // SeedVersionChains below restarts every chain at vseq 1, so stale
     // images of *any* object could alias the reseeded tags.
     cache_->Clear();
-    cache_gen_.clear();
   }
   std::vector<Extent> live;
   if (!dir_object_.empty()) {
@@ -1227,7 +1148,7 @@ Status Database::RepairObject(uint64_t id) {
   if (!s.ok()) return span.Close(std::move(s));
   s = FlushLocked();
   if (!s.ok()) return span.Close(std::move(s));
-  if (options_.mvcc) SeedVersionChains();
+  SeedVersionChains();
   static obs::Counter* repaired_counter =
       obs::MetricsRegistry::Default().counter(obs::kScrubRepairedObjects);
   repaired_counter->Inc();
@@ -1269,17 +1190,30 @@ void Snapshot::Release() {
 
 uint64_t Database::CacheVseqLocked(uint64_t id) {
   if (cache_ == nullptr) return 0;
-  if (options_.mvcc) {
-    LatchGuard vguard(versions_latch_);
-    auto it = versions_.find(id);
-    if (it == versions_.end() || it->second.empty() ||
-        it->second.back().dead) {
-      return 0;
-    }
-    return it->second.back().vseq;
+  LatchGuard vguard(versions_latch_);
+  auto it = versions_.find(id);
+  if (it == versions_.end() || it->second.empty() || it->second.back().dead) {
+    return 0;
   }
-  auto it = cache_gen_.find(id);
-  return it == cache_gen_.end() ? 1 : it->second;
+  return it->second.back().vseq;
+}
+
+void Database::DropVersionsLocked(std::vector<Extent> reclaimed) {
+  {
+    LatchGuard vguard(versions_latch_);
+    for (const auto& [id, chain] : versions_) {
+      for (const ObjectVersion& v : chain) {
+        reclaimed.insert(reclaimed.end(), v.retired.begin(), v.retired.end());
+      }
+    }
+    reclaimed.insert(reclaimed.end(), gc_ready_.begin(), gc_ready_.end());
+    versions_.clear();
+    gc_ready_.clear();
+  }
+  pending_retired_.clear();
+  for (const Extent& e : reclaimed) {
+    for (uint32_t i = 0; i < e.pages; ++i) pager_->Invalidate(e.first + i);
+  }
 }
 
 void Database::SeedVersionChains() {
@@ -1365,7 +1299,6 @@ void Database::ReleaseSnapshotPin(uint64_t id, uint64_t vseq) {
 }
 
 Status Database::DrainVersionGcLocked() {
-  if (!options_.mvcc) return Status::OK();
   std::vector<Extent> ready;
   {
     LatchGuard vguard(versions_latch_);
@@ -1403,7 +1336,7 @@ bool Database::HasOpenPins() {
 }
 
 Status Database::CommitMutationLocked(uint64_t id, uint64_t* commit_lsn) {
-  if (!options_.mvcc || log_ == nullptr) return Status::OK();
+  if (log_ == nullptr) return Status::OK();
   return log_->LogCommitMarker(id, commit_lsn);
 }
 
@@ -1413,9 +1346,6 @@ Status Database::SyncCommit(uint64_t commit_lsn) {
 }
 
 StatusOr<Snapshot> Database::BeginSnapshot(uint64_t id) {
-  if (!options_.mvcc) {
-    return Status::InvalidArgument("snapshots require DatabaseOptions::mvcc");
-  }
   static obs::Gauge* open_gauge =
       obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
   LatchGuard vguard(versions_latch_);
@@ -1457,17 +1387,6 @@ StatusOr<Bytes> Database::SnapshotRead(const Snapshot& snap, uint64_t offset,
 
 StatusOr<std::vector<Database::VersionInfo>> Database::ListVersions(
     uint64_t id) {
-  if (!options_.mvcc) {
-    SharedLatchGuard guard(dir_latch_);
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    VersionInfo info;
-    info.vseq = 1;
-    info.lsn = d.lsn;
-    info.size = d.size();
-    if (!d.root.entries.empty()) info.root_page = d.root.entries[0].page;
-    info.current = true;
-    return std::vector<VersionInfo>{info};
-  }
   LatchGuard vguard(versions_latch_);
   auto it = versions_.find(id);
   if (it == versions_.end() || it->second.empty()) {
@@ -1541,7 +1460,7 @@ Status Database::MigrateObject(uint64_t id, uint64_t horizon,
   // root plus the unchanged WAL. No TouchLocked — a migration must not
   // make its object look hot.
   {
-    ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
+    ScopedFreeCapture capture(allocator_.get());
     Status s = lob_->Reorganize(&d);
     if (!s.ok()) return span.Close(std::move(s));
     pending_retired_ = capture.TakeCaptured();

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,17 +93,10 @@ struct DatabaseOptions {
   // passes regardless of the flag.
   DefragOptions defrag;
 
-  // Multi-version concurrency (DESIGN.md §13): every committed mutation
-  // publishes the object's new root into an in-memory version chain, and
-  // BeginSnapshot()/SnapshotRead() traverse a pinned version without
-  // touching the directory latch — readers never wait on writers. Implies
-  // index-node shadowing and copy-on-write Replace so no page a pinned
-  // version references is ever overwritten in place; superseded storage is
-  // reclaimed only once no snapshot pins it (through the CheckpointFreeList
-  // when combined with crash_safe). Mutations additionally group-commit
-  // their WAL markers (LogManager::LogCommitDurable) when a log is
-  // attached.
-  bool mvcc = false;
+  // Every Database runs multi-version concurrency (see class Database);
+  // Init() rejects false. The field remains only because the perfbench
+  // workloads still assign it, and goes once they stop setting it.
+  bool mvcc = true;
 
   // Hot-object DRAM cache tier (DESIGN.md §14): a non-zero byte budget
   // attaches an ExtentCache above the leaf-read path. Read()/SnapshotRead()
@@ -110,12 +104,8 @@ struct DatabaseOptions {
   // image; misses fill through the ordinary read machinery. Entries are
   // keyed by (object id, version sequence, extent), so a published version's
   // cached bytes can never be stale; superseded versions are invalidated as
-  // version GC retires them (per-object generations without mvcc).
+  // version GC retires them.
   size_t cache_bytes = 0;
-  // Compress probation-resident cache entries (common/compress.h): the cold
-  // tail of the cache packs 2-4x more logical bytes per DRAM byte, while
-  // promoted hot entries stay raw (hits remain a pure memcpy).
-  bool cache_compression = true;
 };
 
 // FreeInterceptor that parks every freed extent until the next
@@ -200,6 +190,17 @@ struct LeakCheckReport {
 // defragmenter migrate objects from a background thread while foreground
 // readers keep running; per-page consistency below the latch is the
 // pager's and allocator's own short-duration latches.
+//
+// Multi-version concurrency (DESIGN.md §13): every committed mutation
+// publishes the object's new root into an in-memory version chain, and
+// BeginSnapshot()/SnapshotRead() traverse a pinned version without touching
+// the directory latch — snapshot readers never wait on writers. Index nodes
+// are shadowed and Replace is copy-on-write, so no page a pinned version
+// references is ever overwritten in place; superseded storage is reclaimed
+// only once no snapshot pins it (through the CheckpointFreeList in
+// crash_safe mode). With a log attached, every mutation writes its own
+// commit marker and group-commits it (LogManager::LogCommitMarker and
+// SyncToLsn); callers never log commits themselves.
 class Database : private DefragHost {
  public:
   static constexpr uint32_t kMagic = 0x454F5356;  // "EOSV"
@@ -294,8 +295,8 @@ class Database : private DefragHost {
   // ----- snapshot MVCC (DESIGN.md §13) ---------------------------------------
 
   // Pins the object's current committed version and returns a Snapshot
-  // that reads it. Requires options.mvcc. Never blocks on writers: only
-  // the (short, uncontended) version-chain latch is taken.
+  // that reads it. Never blocks on writers: only the (short, uncontended)
+  // version-chain latch is taken.
   StatusOr<Snapshot> BeginSnapshot(uint64_t id);
 
   // Reads min(n, snap.size() - offset) bytes at `offset` from the pinned
@@ -317,9 +318,8 @@ class Database : private DefragHost {
     bool dead = false;  // drop marker (object destroyed)
   };
 
-  // The object's version chain, oldest first. Without options.mvcc the
-  // directory root is reported as a single unpinned current version, so
-  // `eos_inspect versions` works on any volume.
+  // The object's version chain, oldest first. A freshly opened volume
+  // holds one unpinned current version per object.
   StatusOr<std::vector<VersionInfo>> ListVersions(uint64_t id);
 
   StatusOr<uint64_t> Size(uint64_t id);
@@ -433,9 +433,22 @@ class Database : private DefragHost {
   Status LoadDirectory();
   Status SaveDirectory();
 
+  // The one write path of the public object mutations: latches, admits the
+  // mutation (a `reclaims` one — Delete — instead runs under the emergency
+  // reserve), runs `lob_call` on the object's root with its frees captured
+  // as the superseded version's retire batch, publishes the new root,
+  // commits it, and waits for the commit to be durable after unlatching.
+  using LobCall = std::function<Status(LobDescriptor*)>;
+  Status MutateObject(const char* op, uint64_t id, bool reclaims,
+                      const LobCall& lob_call);
+
   // ----- latch-free internals (caller holds dir_latch_) ---------------------
 
   StatusOr<uint64_t> CreateObjectLocked();
+  // MutateObject minus the span, latch and commit wait; `commit_lsn`
+  // receives the marker's LSN (0 without a log).
+  Status MutateObjectLocked(uint64_t id, bool reclaims,
+                            const LobCall& lob_call, uint64_t* commit_lsn);
   StatusOr<LobDescriptor> GetRootLocked(uint64_t id);
   Status PutRootLocked(uint64_t id, const LobDescriptor& d);
   Status FlushLocked();
@@ -448,9 +461,8 @@ class Database : private DefragHost {
   void TouchLocked(uint64_t id);
 
   // The version tag Read() binds into the extent cache for `id`: the
-  // chain-current vseq under mvcc, the per-object mutation generation
-  // otherwise. 0 (don't cache) when the cache is off or the id is unknown.
-  // Caller holds dir_latch_ (shared suffices).
+  // chain-current vseq. 0 (don't cache) when the cache is off or the id is
+  // unknown. Caller holds dir_latch_ (shared suffices).
   uint64_t CacheVseqLocked(uint64_t id);
 
   // ----- version chains (MVCC, DESIGN.md §13) --------------------------------
@@ -471,6 +483,12 @@ class Database : private DefragHost {
   // Rebuilds every chain from directory_ (open, recovery): one unpinned
   // current version per object. Clears gc staging and stale capture state.
   void SeedVersionChains();
+  // Forgets every chain and retire batch ahead of a reachability rebuild
+  // (Recover, RepairObject). The rebuild reclaims that storage — and the
+  // `reclaimed` extents — without the allocator's free path, so their
+  // cached pager frames are dropped here, as SegmentAllocator::FreeInternal
+  // would: a stale dirty frame must never trample a later reuse.
+  void DropVersionsLocked(std::vector<Extent> reclaimed);
   // Appends a new current version for `id` under dir_latch_ exclusive,
   // attaching pending_retired_ to the superseded version, then drains
   // whatever became collectable into gc_ready_.
@@ -491,11 +509,11 @@ class Database : private DefragHost {
   // CheckpointFreeList in crash-safe mode). Caller holds dir_latch_
   // exclusive with no capture scope installed.
   Status DrainVersionGcLocked();
-  // True if any snapshot pin is open (mvcc only).
+  // True if any snapshot pin is open.
   bool HasOpenPins();
-  // Emits the WAL commit marker for a successful mvcc mutation — under
+  // Emits the WAL commit marker for a successful mutation — under
   // dir_latch_, so the marker is ordered after the mutation's own records.
-  // No-op (commit_lsn stays 0) without mvcc or an attached log.
+  // No-op (commit_lsn stays 0) without an attached log.
   Status CommitMutationLocked(uint64_t id, uint64_t* commit_lsn);
   // Waits until a log sync covers `commit_lsn` (0 = nothing to wait for).
   // Called *after* releasing dir_latch_: the fsync wait is where group
@@ -526,9 +544,6 @@ class Database : private DefragHost {
 
   uint64_t next_object_id_ = 1;
   std::map<uint64_t, uint32_t> threshold_hints_;
-  // Non-mvcc cache versioning: bumped on every root publication so stale
-  // cache keys die with their generation (guarded by dir_latch_).
-  std::map<uint64_t, uint64_t> cache_gen_;
   LobDescriptor dir_object_;  // the directory's own root
   std::vector<std::pair<uint64_t, Bytes>> directory_;  // id -> root image
   std::map<uint64_t, std::vector<HoleRange>> holes_;   // id -> hole map

@@ -94,10 +94,9 @@ class Pager {
   Status EvictAll();
 
   // Discards any cached copy of `id` without writing it back (the page was
-  // freed). A frame that is still pinned — a snapshot reader mid-traversal
-  // of an index page whose version chain just retired it — is detached from
-  // the page map and marked doomed instead; the pinned readers keep their
-  // stable buffer and the frame returns to the free list at the last Unpin.
+  // freed). A frame that is still pinned is detached from the page map and
+  // marked doomed instead; the pinned readers keep their stable buffer and
+  // the frame returns to the free list at the last Unpin.
   void Invalidate(PageId id);
 
   // Write-through mode (crash-safe configuration): MarkDirty persists the

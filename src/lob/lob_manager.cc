@@ -483,9 +483,10 @@ StatusOr<Bytes> LobManager::ReadAll(const LobDescriptor& d) {
 Status LobManager::Replace(LobDescriptor* d, uint64_t offset, ByteView data) {
   obs::ScopedOp span("lob.replace", 0, device());
   if (cow_replace_) {
-    // MVCC mode: affected segments are rewritten into fresh extents and the
-    // spine republished, so a snapshot of the old version keeps reading its
-    // own leaf pages; a mid-op failure is repaired by reservation unwind.
+    // Database (MVCC) path: affected segments are rewritten into fresh
+    // extents and the spine republished, so a snapshot of the old version
+    // keeps reading its own leaf pages; a mid-op failure is repaired by
+    // reservation unwind.
     return span.Close(RunGuarded(
         d, "lob.replace", [&] { return ReplaceCowImpl(d, offset, data); }));
   }

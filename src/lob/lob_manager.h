@@ -225,8 +225,9 @@ class LobManager {
   LogManager* log_manager() const { return log_; }
   void set_shadowing(bool on) { store_.set_shadowing(on); }
 
-  // Copy-on-write Replace (MVCC mode, DESIGN.md §13). Replace is the one
-  // operation that normally overwrites leaf pages in place; with CoW on,
+  // Copy-on-write Replace (every Database turns it on, DESIGN.md §13;
+  // bare LobManager use keeps the paper's in-place path). Replace is the
+  // one operation that normally overwrites leaf pages in place; with CoW on,
   // every affected segment is instead rewritten into a fresh extent and
   // spliced into the spine through the ordinary shadowed path, so a
   // concurrent snapshot reader of the superseded version never observes

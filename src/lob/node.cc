@@ -105,16 +105,11 @@ StatusOr<PageId> NodeStore::WriteNew(const LobNode& node) {
 }
 
 Status NodeStore::FreePage(PageId page) {
-  // Under a reservation the free below is merely parked, so an unwind
-  // brings this page back live — but Invalidate may drop a not-yet-flushed
-  // frame. Save the current image so unwind can rewrite it.
-  if (SpaceReservation* res = SpaceReservation::ActiveFor(allocator_)) {
-    auto old = pager_->Fetch(page);
-    if (old.ok()) {
-      res->RecordPageImage(page, old.value().data(), page_size_);
-    }
-  }
-  pager_->Invalidate(page);
+  // The cached frame stays: a parked or captured free leaves the page
+  // reachable from an unwound operation's tree or a superseded version,
+  // and the frame may hold its only current image (a write-through that
+  // failed during a volume outage). The allocator drops the frame when the
+  // page really returns to the buddy maps.
   return allocator_->Free(Extent{page, 1});
 }
 

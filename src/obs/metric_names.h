@@ -87,7 +87,6 @@ inline constexpr char kCacheEvict[] = "cache.evict";
 inline constexpr char kCacheInvalidate[] = "cache.invalidate";
 inline constexpr char kCacheFillFail[] = "cache.fill_fail";
 inline constexpr char kCacheResidentBytes[] = "cache.resident_bytes";  // gauge
-inline constexpr char kCacheLogicalBytes[] = "cache.logical_bytes";    // gauge
 
 // --- scrub / repair ---------------------------------------------------------
 inline constexpr char kScrubPagesVerified[] = "scrub.pages_verified";

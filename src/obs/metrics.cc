@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -51,12 +52,15 @@ uint64_t Histogram::Percentile(double p) const {
   uint64_t rank = static_cast<uint64_t>(exact);
   if (static_cast<double>(rank) < exact) ++rank;
   if (rank == 0) rank = 1;
+  // The bucket bound can overshoot every recorded sample (a bucket spans
+  // a power of two); no quantile may exceed the largest one.
+  const uint64_t top = max();
   uint64_t seen = 0;
   for (size_t b = 0; b < kBuckets; ++b) {
     seen += bucket(b);
-    if (seen >= rank) return BucketUpperBound(b);
+    if (seen >= rank) return std::min(BucketUpperBound(b), top);
   }
-  return max();
+  return top;
 }
 
 void Histogram::Reset() {

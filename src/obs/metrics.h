@@ -101,6 +101,9 @@ class Histogram {
   }
 
   // p in [0, 1]; e.g. 0.5 and 0.99. Returns 0 for an empty histogram.
+  // The result is the inclusive upper bound of the rank's bucket, clamped
+  // to max(), so it never understates the order statistic by more than
+  // the bucket width and never exceeds the largest recorded value.
   uint64_t Percentile(double p) const;
 
   void Reset();

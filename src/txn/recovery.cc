@@ -77,11 +77,27 @@ Status Recovery::ApplyBackward(LobDescriptor* d, const LogRecord& r) {
   return Status::Corruption("unknown log op");
 }
 
-Status Recovery::Redo(LobDescriptor* d, uint64_t object_id,
-                      const std::vector<LogRecord>& log, uint64_t up_to_lsn) {
-  ScopedLogSuspend suspend(mgr_);
+std::map<uint64_t, Recovery::ObjectLog> Recovery::GroupByObject(
+    const std::vector<LogRecord>& log) {
+  std::map<uint64_t, ObjectLog> out;
+  for (const LogRecord& r : log) out[r.object_id].push_back(&r);
+  return out;
+}
+
+Recovery::ObjectLog Recovery::RecordsOf(uint64_t object_id,
+                                        const std::vector<LogRecord>& log) {
+  ObjectLog out;
   for (const LogRecord& r : log) {
-    if (r.object_id != object_id) continue;
+    if (r.object_id == object_id) out.push_back(&r);
+  }
+  return out;
+}
+
+Status Recovery::Redo(LobDescriptor* d, const ObjectLog& records,
+                      uint64_t up_to_lsn) {
+  ScopedLogSuspend suspend(mgr_);
+  for (const LogRecord* rp : records) {
+    const LogRecord& r = *rp;
     if (r.lsn > up_to_lsn) break;
     if (r.lsn <= d->lsn) continue;  // already reflected: idempotence
     if (r.op == LogOp::kCommit) continue;
@@ -92,12 +108,12 @@ Status Recovery::Redo(LobDescriptor* d, uint64_t object_id,
   return Status::OK();
 }
 
-Status Recovery::Undo(LobDescriptor* d, uint64_t object_id,
-                      const std::vector<LogRecord>& log, uint64_t stop_lsn) {
+Status Recovery::Undo(LobDescriptor* d, const ObjectLog& records,
+                      uint64_t stop_lsn) {
   ScopedLogSuspend suspend(mgr_);
-  for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    const LogRecord& r = *it;
-    if (r.object_id != object_id || r.op == LogOp::kCommit) continue;
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    const LogRecord& r = **it;
+    if (r.op == LogOp::kCommit) continue;
     if (r.lsn > d->lsn) continue;  // never applied: idempotence
     if (r.lsn <= stop_lsn) break;
     EOS_RETURN_IF_ERROR(ApplyBackward(d, r));
@@ -107,24 +123,21 @@ Status Recovery::Undo(LobDescriptor* d, uint64_t object_id,
   return Status::OK();
 }
 
-uint64_t Recovery::LastCommitLsn(uint64_t object_id,
-                                 const std::vector<LogRecord>& log) {
-  uint64_t lsn = 0;
-  for (const LogRecord& r : log) {
-    if (r.object_id == object_id && r.op == LogOp::kCommit) lsn = r.lsn;
+uint64_t Recovery::LastCommitLsn(const ObjectLog& records) {
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    if ((*it)->op == LogOp::kCommit) return (*it)->lsn;
   }
-  return lsn;
+  return 0;
 }
 
-Status Recovery::RecoverObject(LobDescriptor* d, uint64_t object_id,
-                               const std::vector<LogRecord>& log) {
-  uint64_t commit_lsn = LastCommitLsn(object_id, log);
+Status Recovery::RecoverObject(LobDescriptor* d, const ObjectLog& records) {
+  uint64_t commit_lsn = LastCommitLsn(records);
   // Roll forward to the last committed state first. Redo works through the
   // normal update paths and never reads existing object content, so it is
   // safe even when a torn in-flight replace left garbage bytes — and it
   // puts the root into the coordinate system the in-flight records' offsets
   // are expressed in.
-  EOS_RETURN_IF_ERROR(Redo(d, object_id, log, commit_lsn));
+  EOS_RETURN_IF_ERROR(Redo(d, records, commit_lsn));
 
   // In-flight records (after the last commit), each paired with the LSN of
   // its predecessor in the object's log — the state its update could only
@@ -135,8 +148,9 @@ Status Recovery::RecoverObject(LobDescriptor* d, uint64_t object_id,
   };
   std::vector<InFlight> tail;
   uint64_t base = 0;
-  for (const LogRecord& r : log) {
-    if (r.object_id != object_id || r.op == LogOp::kCommit) continue;
+  for (const LogRecord* rp : records) {
+    const LogRecord& r = *rp;
+    if (r.op == LogOp::kCommit) continue;
     if (r.lsn <= commit_lsn) {
       base = r.lsn;
     } else {

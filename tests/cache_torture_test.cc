@@ -2,12 +2,11 @@
 // hot-object DRAM tier: with the cache enabled, concurrent writers,
 // lock-free snapshot readers and defrag ticks must never observe stale or
 // wrong bytes — version-sequence keys make published images immutable and
-// the invalidation hooks (publish, GC, in-place generation bump, defrag
-// migration) retire everything a reader could no longer pin. Chaos read
-// faults during a cache fill must degrade to the direct read path, and
-// partial reads under a deadline must skip the whole-extent fill. Every
-// path ends CheckIntegrity and LeakCheck clean. The block compressor the
-// probation segment uses is exercised on its own as well.
+// the invalidation hooks (publish, GC, defrag migration) retire everything
+// a reader could no longer pin. Chaos read faults during a cache fill must
+// degrade to the direct read path, and partial reads under a deadline must
+// skip the whole-extent fill. Every path ends CheckIntegrity and LeakCheck
+// clean.
 //
 // Failures print the seed; re-run with EOS_TEST_SEED=<n>.
 
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "cache/extent_cache.h"
-#include "common/compress.h"
 #include "common/deadline.h"
 #include "eos/database.h"
 #include "io/chaos_device.h"
@@ -48,15 +46,13 @@ using testing_util::PatternBytes;
 using testing_util::Stack;
 using testing_util::TestSeed;
 
-DatabaseOptions CachedOptions(bool mvcc) {
+DatabaseOptions CachedOptions() {
   DatabaseOptions opt;
   opt.page_size = 512;
   opt.pager_frames = 64;
-  opt.mvcc = mvcc;
-  // Small enough that the churn working set overflows it: admission,
-  // eviction and compression all stay on the hot path of every test.
+  // Small enough that the churn working set overflows it: admission and
+  // eviction both stay on the hot path of every test.
   opt.cache_bytes = 256u << 10;
-  opt.cache_compression = true;
   return opt;
 }
 
@@ -73,81 +69,6 @@ void ExpectClean(Database* db) {
   EXPECT_TRUE(report.doubly_referenced.empty());
 }
 
-// ----- block compressor ------------------------------------------------------
-
-TEST(CompressTest, RoundTripsCompressibleData) {
-  const uint64_t seed = TestSeed(0xC0DE);
-  std::mt19937_64 rng(seed);
-  // Runs + repeats: the shape of real leaf images (serialized structures,
-  // zero padding), squarely in the compressor's wheelhouse.
-  for (size_t n : {size_t{1}, size_t{17}, size_t{4096}, size_t{70000}}) {
-    Bytes src(n);
-    uint8_t v = static_cast<uint8_t>(rng());
-    for (size_t i = 0; i < n; ++i) {
-      if (rng() % 17 == 0) v = static_cast<uint8_t>(rng());
-      src[i] = v;
-    }
-    Bytes packed(CompressBound(n));
-    size_t m = CompressBlock(src.data(), n, packed.data(), packed.size());
-    ASSERT_GT(m, 0u) << "n=" << n;
-    Bytes out(n);
-    EOS_ASSERT_OK(DecompressBlock(packed.data(), m, out.data(), n));
-    EXPECT_EQ(out, src) << "n=" << n;
-  }
-}
-
-TEST(CompressTest, RoundTripsRandomDataViaBound) {
-  const uint64_t seed = TestSeed(0xC0DF);
-  Bytes src = PatternBytes(seed, 30000);
-  std::mt19937_64 rng(seed);
-  for (auto& b : src) b = static_cast<uint8_t>(rng());  // incompressible
-  // Given the full bound the encoder always succeeds (literal blocks)...
-  Bytes packed(CompressBound(src.size()));
-  size_t m = CompressBlock(src.data(), src.size(), packed.data(),
-                           packed.size());
-  ASSERT_GT(m, 0u);
-  Bytes out(src.size());
-  EOS_ASSERT_OK(DecompressBlock(packed.data(), m, out.data(), out.size()));
-  EXPECT_EQ(out, src);
-  // ...and with a cap demanding actual shrinkage it reports "won't fit"
-  // instead of producing a larger image.
-  EXPECT_EQ(CompressBlock(src.data(), src.size(), packed.data(),
-                          src.size() - src.size() / 8),
-            0u);
-}
-
-TEST(CompressTest, RejectsCorruptAndTruncatedStreams) {
-  const uint64_t seed = TestSeed(0xC0E0);
-  std::mt19937_64 rng(seed);
-  Bytes src(20000);
-  uint8_t v = 0;
-  for (size_t i = 0; i < src.size(); ++i) {
-    if (rng() % 13 == 0) v = static_cast<uint8_t>(rng());
-    src[i] = v;
-  }
-  Bytes packed(CompressBound(src.size()));
-  size_t m = CompressBlock(src.data(), src.size(), packed.data(),
-                           packed.size());
-  ASSERT_GT(m, 0u);
-  Bytes out(src.size());
-  // Truncation at every prefix must fail typed, never crash or overrun.
-  for (size_t cut : {size_t{0}, size_t{1}, m / 2, m - 1}) {
-    Status s = DecompressBlock(packed.data(), cut, out.data(), out.size());
-    EXPECT_FALSE(s.ok()) << "cut=" << cut;
-  }
-  // Seeded single-byte corruption: either the stream still decodes to the
-  // wrong bytes of the right length, or it fails typed — never UB.
-  for (int trial = 0; trial < 64; ++trial) {
-    Bytes bad(packed.begin(), packed.begin() + m);
-    bad[rng() % m] ^= static_cast<uint8_t>(1 + rng() % 255);
-    Bytes dst(src.size());
-    Status s = DecompressBlock(bad.data(), m, dst.data(), dst.size());
-    if (!s.ok()) {
-      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-    }
-  }
-}
-
 // ----- oracle-checked concurrent churn with the cache on ---------------------
 
 // Writers churn objects through the shared oracle driver, snapshot readers
@@ -158,7 +79,7 @@ TEST(CacheTortureTest, OracleExactUnderChurnReadersAndDefrag) {
   const uint64_t seed = TestSeed(0xCA51);
   SCOPED_TRACE("seed " + std::to_string(seed) +
                " (re-run with EOS_TEST_SEED=<seed>)");
-  DatabaseOptions opt = CachedOptions(/*mvcc=*/true);
+  DatabaseOptions opt = CachedOptions();
   opt.defrag.min_scatter = 1.0;  // migrate aggressively
   auto db = Database::CreateInMemory(opt);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -263,14 +184,13 @@ TEST(CacheTortureTest, OracleExactUnderChurnReadersAndDefrag) {
   ExpectClean(db->get());
 }
 
-// Without mvcc, Replace mutates leaf pages in place under the directory
-// latch; the per-object generation bump must keep the cache from ever
-// serving the pre-mutation image.
-TEST(CacheTortureTest, NonMvccInPlaceMutationsNeverServeStale) {
+// Every mutation publishes a new version, so the cache key changes with it;
+// a read after Replace must never be served the pre-mutation image.
+TEST(CacheTortureTest, MutationsNeverServeStale) {
   const uint64_t seed = TestSeed(0xCA52);
   SCOPED_TRACE("seed " + std::to_string(seed) +
                " (re-run with EOS_TEST_SEED=<seed>)");
-  auto db = Database::CreateInMemory(CachedOptions(/*mvcc=*/false));
+  auto db = Database::CreateInMemory(CachedOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
 
   // Directed: read-fill, in-place replace, read again.
@@ -314,7 +234,7 @@ TEST(CacheTortureTest, ReadFaultDuringFillDegradesToDirectRead) {
       std::make_unique<MemPageDevice>(512, 1), seed);
   ChaosPageDevice* chaos = chaos_owned.get();
   auto db = Database::CreateOnDevice(std::move(chaos_owned),
-                                     CachedOptions(/*mvcc=*/false));
+                                     CachedOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
 
   Bytes content = PatternBytes(seed, 16 << 10);
@@ -359,7 +279,7 @@ TEST(CacheTortureTest, ReadFaultDuringFillDegradesToDirectRead) {
 
 TEST(CacheTortureTest, BoundedPartialReadSkipsWholeExtentFill) {
   const uint64_t seed = TestSeed(0xCA54);
-  auto db = Database::CreateInMemory(CachedOptions(/*mvcc=*/false));
+  auto db = Database::CreateInMemory(CachedOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   Bytes content = PatternBytes(seed, 32 << 10);
   auto id = (*db)->CreateObjectFrom(content);
@@ -477,8 +397,7 @@ TEST(CacheTortureTest, ShardedCacheExactUnderConcurrentPressure) {
         uint64_t vseq = 1 + rng() % 3;
         PageId first = 1 + rng() % kExtentsPerObject;
         // Content is a pure function of the key, so any cross-key mixup
-        // (sharding bug, LRU splice bug, compression bug) is caught by a
-        // byte compare.
+        // (sharding bug, LRU splice bug) is caught by a byte compare.
         size_t len = 512 + (first * 37 % 3) * 512;
         Bytes expect = PatternBytes(object * 1000 + vseq * 100 + first, len);
         uint32_t pick = static_cast<uint32_t>(rng() % 100);

@@ -43,12 +43,11 @@ constexpr int kObjects = 4;
 constexpr int kMutationOps = 30;
 constexpr int kDropStep = kMutationOps / 2;  // DropObject of the last object
 
-DatabaseOptions TortureOptions(bool mvcc = false) {
+DatabaseOptions TortureOptions() {
   DatabaseOptions opt;
   opt.page_size = kPageSize;
   opt.pager_frames = 16;
   opt.crash_safe = true;
-  opt.mvcc = mvcc;
   return opt;
 }
 
@@ -99,25 +98,28 @@ std::string ScriptTrace(const std::vector<ScriptedOp>& script) {
 
 // A full crash-safe stack on a chaos device, with the objects created,
 // committed, and checkpointed. The log outlives the database (AttachLog
-// keeps a raw pointer).
+// keeps a raw pointer). Every mutation commits itself: the Database writes
+// its own commit marker into the log.
 struct Harness {
   std::unique_ptr<LogManager> log;
   std::unique_ptr<Database> db;
   ChaosPageDevice* chaos = nullptr;
   std::vector<uint64_t> ids;
   uint64_t setup_lsn = 0;  // last LSN of the setup phase
-  bool mvcc = false;
+  // Cycle a snapshot pin and checkpoint periodically while the script
+  // runs (see RunMutation).
+  bool cycle_pins = false;
 };
 
 Harness MakeHarness(uint64_t seed, std::vector<ModelLob>* models,
-                    bool mvcc = false) {
+                    bool cycle_pins = false) {
   Harness h;
-  h.mvcc = mvcc;
+  h.cycle_pins = cycle_pins;
   h.log = std::make_unique<LogManager>();
   auto chaos = std::make_unique<ChaosPageDevice>(
       std::make_unique<MemPageDevice>(kPageSize, 1), seed);
   h.chaos = chaos.get();
-  auto db = Database::CreateOnDevice(std::move(chaos), TortureOptions(mvcc));
+  auto db = Database::CreateOnDevice(std::move(chaos), TortureOptions());
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   if (!db.ok()) return h;
   h.db = std::move(db).value();
@@ -129,8 +131,6 @@ Harness MakeHarness(uint64_t seed, std::vector<ModelLob>* models,
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     if (!id.ok()) return h;
     h.ids.push_back(*id);
-    // Under mvcc the Database group-commits its own marker per mutation.
-    if (!mvcc) EXPECT_TRUE(h.log->LogCommit(*id).ok());
     ModelLob m;
     m.Append(init);
     models->push_back(std::move(m));
@@ -141,9 +141,10 @@ Harness MakeHarness(uint64_t seed, std::vector<ModelLob>* models,
   return h;
 }
 
-// Replays the script; each op that fully applies is committed (marker
-// logged) and its oracle state recorded. Stops when the device crashes.
-// Optionally records per-op commit LSNs, oracle snapshots, and persisted
+// Replays the script; each op that fully applies has committed (the
+// Database logged its marker) and its oracle state is recorded. Stops when
+// the device crashes. Optionally records per-op commit LSNs (the LSN of the
+// op's own marker), oracle snapshots, and persisted
 // device images (cloned right after each commit, so images[i] is a
 // physically realizable state in which ops 0..i are fully applied).
 void RunMutation(Harness* h, const std::vector<ScriptedOp>& script,
@@ -156,9 +157,9 @@ void RunMutation(Harness* h, const std::vector<ScriptedOp>& script,
   for (size_t i = 0; i < h->ids.size(); ++i) {
     (*committed)[h->ids[i]] = std::string(models[i].bytes());
   }
-  // In mvcc mode a snapshot pin cycles open/closed across the script and
-  // periodic checkpoints drain version GC, so the crash-write window also
-  // covers version-chain publish with a live pin and GC reclaim frees.
+  // With cycle_pins a snapshot pin cycles open/closed across the script
+  // and periodic checkpoints drain version GC, so the crash-write window
+  // also covers version-chain publish with a live pin and GC reclaim frees.
   // Local to this function: the pin must release before the db dies.
   Snapshot pin;
   for (size_t j = 0; j < script.size(); ++j) {
@@ -192,9 +193,7 @@ void RunMutation(Harness* h, const std::vector<ScriptedOp>& script,
           << "op failed without a crash: " << st.ToString();
       break;
     }
-    if (!h->mvcc) {
-      EXPECT_TRUE(h->log->LogCommit(id).ok());
-    } else {
+    if (h->cycle_pins) {
       if (j % 5 == 2 && !pin.valid()) {
         auto p = h->db->BeginSnapshot(h->ids[0]);
         if (p.ok()) pin = std::move(*p);
@@ -285,9 +284,9 @@ std::unique_ptr<Database> CrashAndRecover(uint64_t seed,
                                           uint64_t k, bool tear,
                                           CommittedMap* committed,
                                           std::vector<LogRecord>* wal_out,
-                                          bool mvcc = false) {
+                                          bool cycle_pins = false) {
   std::vector<ModelLob> models;
-  Harness h = MakeHarness(seed, &models, mvcc);
+  Harness h = MakeHarness(seed, &models, cycle_pins);
   if (h.db == nullptr) return nullptr;
   h.chaos->CrashAfterWrites(k, tear ? 1 : 0);
   RunMutation(&h, script, models, committed, /*expect_ok=*/false);
@@ -298,7 +297,7 @@ std::unique_ptr<Database> CrashAndRecover(uint64_t seed,
   if (!image.ok()) return nullptr;
   std::vector<LogRecord> wal = h.log->records();
   h.db.reset();  // the dying flush fails against the dead device; harmless
-  auto db2 = Database::OpenOnDevice(std::move(*image), TortureOptions(mvcc));
+  auto db2 = Database::OpenOnDevice(std::move(*image), TortureOptions());
   EXPECT_TRUE(db2.ok()) << "re-open after crash " << k << ": "
                         << db2.status().ToString();
   if (!db2.ok()) return nullptr;
@@ -353,9 +352,8 @@ TEST(CrashRecoveryTortureTest, ExhaustiveCrashPoints) {
   ASSERT_GE(points, 100) << "W=" << W << " stride=" << stride;
 }
 
-// The same exhaustive sweep with multi-version concurrency on: every
-// mutation group-commits its own marker, a snapshot pin cycles across the
-// script (version chains stay populated), and periodic checkpoints drain
+// The same exhaustive sweep with a snapshot pin cycling across the script
+// (version chains stay populated) and periodic checkpoints draining
 // version GC — so the sampled crash points land around version-chain
 // publish and GC reclaim frees. Recovery must still land on exactly the
 // committed oracle state, reseed the chains, and leak nothing.
@@ -365,7 +363,7 @@ TEST(CrashRecoveryTortureTest, MvccCrashPointsAroundPublishAndGc) {
                " (re-run with EOS_TEST_SEED=<seed>)");
 
   std::vector<ModelLob> models;
-  Harness ref = MakeHarness(seed, &models, /*mvcc=*/true);
+  Harness ref = MakeHarness(seed, &models, /*cycle_pins=*/true);
   ASSERT_NE(ref.db, nullptr);
   std::vector<ScriptedOp> script = MakeScript(seed, models);
   CommittedMap committed_ref;
@@ -387,7 +385,7 @@ TEST(CrashRecoveryTortureTest, MvccCrashPointsAroundPublishAndGc) {
     CommittedMap committed;
     std::unique_ptr<Database> db =
         CrashAndRecover(seed, script, k, /*tear=*/(points % 3 == 0),
-                        &committed, nullptr, /*mvcc=*/true);
+                        &committed, nullptr, /*cycle_pins=*/true);
     ASSERT_NE(db, nullptr);
     EOS_ASSERT_OK(db->CheckIntegrity());
     ASSERT_TRUE(MatchesCommitted(db.get(), committed, &why))

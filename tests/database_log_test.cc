@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "eos/database.h"
 #include "tests/test_util.h"
@@ -14,6 +15,16 @@ namespace eos {
 namespace {
 
 using testing_util::PatternBytes;
+
+// The operation records of a log, without the commit markers the Database
+// writes after every mutation.
+std::vector<LogRecord> OpRecords(const LogManager& log) {
+  std::vector<LogRecord> out;
+  for (const LogRecord& r : log.records()) {
+    if (r.op != LogOp::kCommit) out.push_back(r);
+  }
+  return out;
+}
 
 DatabaseOptions Opts() {
   DatabaseOptions o;
@@ -33,10 +44,17 @@ TEST(DatabaseLogTest, RecordsCarryObjectIds) {
   EOS_ASSERT_OK((*db)->Append(*a, PatternBytes(1, 100)));
   EOS_ASSERT_OK((*db)->Append(*b, PatternBytes(2, 200)));
   EOS_ASSERT_OK((*db)->Insert(*a, 50, PatternBytes(3, 10)));
-  ASSERT_EQ(log.records().size(), 3u);
-  EXPECT_EQ(log.records()[0].object_id, *a);
-  EXPECT_EQ(log.records()[1].object_id, *b);
-  EXPECT_EQ(log.records()[2].object_id, *a);
+  std::vector<LogRecord> ops = OpRecords(log);
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].object_id, *a);
+  EXPECT_EQ(ops[1].object_id, *b);
+  EXPECT_EQ(ops[2].object_id, *a);
+  // Each mutation is followed by the Database's own commit marker for it.
+  ASSERT_EQ(log.records().size(), 6u);
+  for (size_t i = 0; i < 6; i += 2) {
+    EXPECT_EQ(log.records()[i + 1].op, LogOp::kCommit);
+    EXPECT_EQ(log.records()[i + 1].object_id, log.records()[i].object_id);
+  }
 }
 
 TEST(DatabaseLogTest, RedoAfterSimulatedCrash) {
@@ -126,8 +144,9 @@ TEST(DatabaseLogTest, DropObjectLogsDestroyWithBeforeImage) {
   auto id = (*db)->CreateObjectFrom(content);
   ASSERT_TRUE(id.ok());
   EOS_ASSERT_OK((*db)->DropObject(*id));
-  ASSERT_FALSE(log.records().empty());
-  const LogRecord& last = log.records().back();
+  std::vector<LogRecord> ops = OpRecords(log);
+  ASSERT_FALSE(ops.empty());
+  const LogRecord& last = ops.back();
   EXPECT_EQ(last.op, LogOp::kDestroy);
   EXPECT_EQ(last.object_id, *id);
   EXPECT_EQ(last.old_data, content);

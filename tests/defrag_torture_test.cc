@@ -265,7 +265,6 @@ CrashRig MakeCrashRig(uint64_t seed) {
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     if (!id.ok()) return rig;
     rig.ids.push_back(*id);
-    EXPECT_TRUE(rig.log->LogCommit(*id).ok());
     models[i].Append(init);
   }
   // Shatter the objects with committed, logged edits.
@@ -292,7 +291,6 @@ CrashRig MakeCrashRig(uint64_t seed) {
     }
     EXPECT_TRUE(st.ok()) << st.ToString();
     if (!st.ok()) return rig;
-    EXPECT_TRUE(rig.log->LogCommit(rig.ids[t]).ok());
     ApplyToModel(op, &models[t]);
   }
   Status cp = rig.db->Checkpoint();

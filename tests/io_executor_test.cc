@@ -250,7 +250,7 @@ TEST(BufferPoolTest, RetainedBytesAreBoundedAcrossClasses) {
   constexpr size_t kBudget = 8u << 20;  // 8 MiB
   BufferPool pool(/*max_per_class=*/16, /*max_idle_bytes=*/kBudget);
   // Touch every pooled class, several buffers each, mimicking repeated
-  // compressed-fill staging of differently-sized extents.
+  // fill staging of differently-sized extents.
   for (int round = 0; round < 4; ++round) {
     for (size_t bytes = 4096; bytes <= (16u << 20); bytes <<= 1) {
       BufferPool::Buffer b = pool.Acquire(bytes);

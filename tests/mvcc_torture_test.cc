@@ -47,7 +47,6 @@ DatabaseOptions MvccOptions() {
   DatabaseOptions opt;
   opt.page_size = 512;
   opt.pager_frames = 64;
-  opt.mvcc = true;
   return opt;
 }
 
@@ -594,22 +593,39 @@ TEST(MvccTortureTest, DropUnderOpenSnapshot) {
   ExpectClean(db->get());
 }
 
-// Without options.mvcc, snapshots are refused but ListVersions still
-// reports the directory root as the single current version (eos_inspect
-// works on any volume).
-TEST(MvccTortureTest, NonMvccSurface) {
-  DatabaseOptions opt;
-  opt.page_size = 512;
-  auto db = Database::CreateInMemory(opt);
+// Every Database is MVCC: default options serve snapshots over a real
+// version chain, and asking for the old single-version mode is refused.
+TEST(MvccTortureTest, DefaultOptionsServeSnapshotsAndVersionChain) {
+  auto db = Database::CreateInMemory(DatabaseOptions{});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  auto id = (*db)->CreateObjectFrom(PatternBytes(1, 4000));
+  Bytes before = PatternBytes(1, 4000);
+  auto id = (*db)->CreateObjectFrom(before);
   ASSERT_TRUE(id.ok());
-  EXPECT_TRUE((*db)->BeginSnapshot(*id).status().IsInvalidArgument());
+  auto snap = (*db)->BeginSnapshot(*id);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EOS_ASSERT_OK((*db)->Append(*id, PatternBytes(2, 1000)));
+
   auto chain = (*db)->ListVersions(*id);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-  ASSERT_EQ(chain->size(), 1u);
+  ASSERT_EQ(chain->size(), 2u);
+  EXPECT_EQ(chain->front().vseq, snap->vseq());
+  EXPECT_EQ(chain->front().pins, 1u);
+  EXPECT_FALSE(chain->front().current);
   EXPECT_TRUE(chain->back().current);
-  EXPECT_EQ(chain->back().size, 4000u);
+  EXPECT_EQ(chain->back().size, 5000u);
+  auto got = (*db)->SnapshotRead(*snap, 0, before.size() + 1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, before);
+
+  snap->Release();
+  chain = (*db)->ListVersions(*id);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(chain->size(), 1u);
+  ExpectClean(db->get());
+
+  DatabaseOptions single;
+  single.mvcc = false;
+  EXPECT_TRUE(Database::CreateInMemory(single).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "buddy/free_capture.h"
 #include "buddy/geometry.h"
 #include "lob/descriptor.h"
 #include "tests/test_util.h"
@@ -129,6 +132,40 @@ TEST(NodeStoreTest, ShadowingRelocatesPages) {
   EXPECT_EQ(loaded->entries[0].count, 222u);
   store->set_shadowing(false);
   EOS_ASSERT_OK(store->FreePage(p));
+  EOS_ASSERT_OK(s.allocator->CheckInvariants());
+}
+
+// A captured free (MVCC retire batch, checkpoint parking) leaves the page
+// reachable from a superseded version, and its cached frame may hold the
+// only current image — write-behind here, or a write-through that failed
+// during a volume outage. The free must keep that frame; only the page's
+// real return to the buddy maps may drop it.
+TEST(NodeStoreTest, CapturedFreeKeepsUnflushedFrame) {
+  Stack s = Stack::Make(128);
+  NodeStore* store = s.lob->node_store();
+  LobNode node;
+  node.level = 0;
+  node.entries = {LobEntry{100, 5}, LobEntry{50, 9}};
+  auto page = store->WriteNew(node);  // dirty in the pager, not on device
+  ASSERT_TRUE(page.ok());
+  std::vector<Extent> retired;
+  {
+    ScopedFreeCapture capture(s.allocator.get());
+    EOS_ASSERT_OK(store->FreePage(*page));
+    retired = capture.TakeCaptured();
+  }
+  ASSERT_EQ(retired.size(), 1u);
+  // A snapshot reader still resolving the superseded version.
+  auto loaded = store->Load(*page);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->entries, node.entries);
+  // The real free (version GC) drops the frame: a later flush must not
+  // trample whatever reuses the page.
+  EOS_ASSERT_OK(s.allocator->Free(retired[0]));
+  EOS_ASSERT_OK(s.pager->FlushAll());
+  Bytes raw(128);
+  EOS_ASSERT_OK(s.device->ReadPages(*page, 1, raw.data()));
+  EXPECT_EQ(raw, Bytes(128, 0)) << "freed page's stale frame was flushed";
   EOS_ASSERT_OK(s.allocator->CheckInvariants());
 }
 

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "io/io_stats.h"
 #include "obs/event_journal.h"
@@ -17,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/op_tracer.h"
 #include "obs/snapshot.h"
+#include "tests/model_oracle.h"
 #include "tests/test_util.h"
 
 namespace eos {
@@ -112,10 +117,39 @@ TEST(HistogramTest, RecordAggregatesAndPercentilesAreConservative) {
   // they never understate the true order statistic.
   EXPECT_GE(h.Percentile(0.5), 1u);   // true median is 2
   EXPECT_LE(h.Percentile(0.5), 3u);
-  EXPECT_GE(h.Percentile(1.0), h.max());
+  EXPECT_EQ(h.Percentile(1.0), h.max());
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
+}
+
+// Property: over random sample sets, every reported quantile lies between
+// the true order statistic and the recorded max — a power-of-two bucket
+// bound must never overshoot the largest sample.
+TEST(HistogramTest, QuantilesNeverExceedMaxOverRandomSamples) {
+  const uint64_t seed = testing_util::TestSeed(0x0B5);
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               " (re-run with EOS_TEST_SEED=<seed>)");
+  std::mt19937_64 rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    Histogram h;
+    std::vector<uint64_t> samples(1 + rng() % 300);
+    // Mix tiny, mid and huge magnitudes so ranks land in sparse buckets.
+    const uint64_t scale = uint64_t{1} << (rng() % 40);
+    for (uint64_t& v : samples) {
+      v = rng() % (scale + 1);
+      h.Record(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    ASSERT_EQ(h.max(), samples.back());
+    for (double p : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      uint64_t q = h.Percentile(p);
+      EXPECT_LE(q, h.max()) << "p=" << p << " trial " << trial;
+      size_t rank = static_cast<size_t>(std::ceil(p * samples.size()));
+      uint64_t exact = samples[rank == 0 ? 0 : rank - 1];
+      EXPECT_GE(q, exact) << "p=" << p << " trial " << trial;
+    }
+  }
 }
 
 TEST(MetricsTest, RegistryPointersAreStableAndNamed) {

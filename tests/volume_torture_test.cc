@@ -226,7 +226,6 @@ TEST(VolumeTortureTest, ConcurrentScrubWithVolumeFailure) {
   std::vector<ChaosPageDevice*> chaos;
   auto members = MakeChaosMembers(3, 512, seed, &chaos);
   DatabaseOptions opt = BaseOptions();
-  opt.mvcc = true;
   opt.parallel_io = true;  // scrub fans out across the members
   // Write-through pager: a failed write surfaces typed at the mutation
   // that issued it. With write-behind it would surface later, inside
