@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <optional>
-#include <set>
 #include <thread>
+#include <type_traits>
 
 #include "buddy/free_capture.h"
 #include "buddy/geometry.h"
@@ -56,6 +57,13 @@ class ScopedDirLogSuspend {
   LobManager* lob_;
   LogManager* saved_;
 };
+
+// The value `map` holds for `id`, or nullptr.
+template <typename Map>
+auto* FindOrNull(Map& map, uint64_t id) {
+  auto it = map.find(id);
+  return it == map.end() ? nullptr : &it->second;
+}
 
 }  // namespace
 
@@ -347,7 +355,7 @@ Status Database::ReadSuperblock(uint32_t* space_pages, uint32_t* num_spaces) {
 
 Status Database::LoadDirectory() {
   directory_.clear();
-  holes_.clear();
+  directory_dirty_ = false;
   if (dir_object_.empty()) return Status::OK();
   EOS_ASSIGN_OR_RETURN(Bytes all, lob_->ReadAll(dir_object_));
   size_t pos = 0;
@@ -370,24 +378,23 @@ Status Database::LoadDirectory() {
     if (pos + header + len + uint64_t{hole_count} * 16 > all.size()) {
       return Status::Corruption("truncated object directory root");
     }
-    directory_.emplace_back(id, Bytes(all.begin() + pos + header,
-                                      all.begin() + pos + header + len));
+    ObjectSlot slot;
+    slot.root.assign(all.begin() + pos + header,
+                     all.begin() + pos + header + len);
     pos += header + len;
-    if (hole_count > 0) {
-      std::vector<HoleRange>& h = holes_[id];
-      h.reserve(hole_count);
-      for (uint32_t i = 0; i < hole_count; ++i) {
-        h.push_back(HoleRange{DecodeU64(all.data() + pos),
-                              DecodeU64(all.data() + pos + 8)});
-        pos += 16;
-      }
+    slot.holes.reserve(hole_count);
+    for (uint32_t i = 0; i < hole_count; ++i) {
+      slot.holes.push_back(HoleRange{DecodeU64(all.data() + pos),
+                                     DecodeU64(all.data() + pos + 8)});
+      pos += 16;
     }
+    directory_[id] = std::move(slot);
   }
   return Status::OK();
 }
 
 Status Database::SaveDirectory() {
-  // The directory rewrite is maintenance, not a user mutation: it must
+  // The directory write is maintenance, not a user mutation: it must
   // complete even on a full volume (a refused delete could otherwise never
   // durably leave the directory), so it may consume the emergency reserve.
   SegmentAllocator::EmergencyScope emergency;
@@ -398,11 +405,10 @@ Status Database::SaveDirectory() {
     EncodeU64(all.data(), kDirSentinel);
     EncodeU32(all.data() + 8, kDirFormatV2);
   }
-  for (const auto& [id, root] : directory_) {
-    auto hit = holes_.find(id);
-    const std::vector<HoleRange>* h =
-        hit == holes_.end() || hit->second.empty() ? nullptr : &hit->second;
-    size_t nholes = h == nullptr ? 0 : h->size();
+  for (const auto& [id, slot] : directory_) {
+    const Bytes& root = slot.root;
+    const std::vector<HoleRange>& holes = slot.holes;
+    size_t nholes = holes.size();
     size_t at = all.size();
     all.resize(at + 16 + root.size() + nholes * 16);
     EncodeU64(all.data() + at, id);
@@ -411,34 +417,30 @@ Status Database::SaveDirectory() {
     std::memcpy(all.data() + at + 16, root.data(), root.size());
     for (size_t i = 0; i < nholes; ++i) {
       size_t ho = at + 16 + root.size() + i * 16;
-      EncodeU64(all.data() + ho, (*h)[i].offset);
-      EncodeU64(all.data() + ho + 8, (*h)[i].length);
+      EncodeU64(all.data() + ho, holes[i].offset);
+      EncodeU64(all.data() + ho + 8, holes[i].length);
     }
   }
-  // Rewrite the directory object wholesale. Its root must stay within the
-  // superblock slot, so cap it explicitly.
-  if (!dir_object_.empty()) {
-    EOS_RETURN_IF_ERROR(lob_->Destroy(&dir_object_));
-  }
+  // Write the new copy before retiring the old one: until the superblock
+  // points at the new copy, the old one is what a reopen reads, so a failed
+  // write must leave it intact (and the directory still dirty).
+  LobDescriptor fresh;
   if (!all.empty()) {
-    LobConfig cfg = lob_->config();
-    // The descriptor is rebuilt via the normal appender path; the root
-    // capacity of lob_ applies, so verify it fits the superblock slot.
-    (void)cfg;
-    EOS_ASSIGN_OR_RETURN(dir_object_, lob_->CreateFrom(all));
-    if (dir_object_.SerializedBytes() > DirRootSlotBytes()) {
+    EOS_ASSIGN_OR_RETURN(fresh, lob_->CreateFrom(all));
+    if (fresh.SerializedBytes() > DirRootSlotBytes()) {
+      (void)lob_->Destroy(&fresh);
       return Status::Corruption(
           "object directory root exceeds its superblock slot; lower "
           "max_root_bytes or raise kDirRootBytes");
     }
   }
-  // No-force policy in crash-safe mode: the superblock is rewritten only at
-  // Checkpoint()/Flush(), so the durable root always describes the last
-  // checkpoint and the write-ahead log carries everything since. The old
-  // directory object stays readable until then — its segments are parked,
-  // not freed — which is what Recover() re-opens after a crash.
-  if (options_.crash_safe) return Status::OK();
-  return WriteSuperblock();
+  LobDescriptor old = std::move(dir_object_);
+  dir_object_ = std::move(fresh);
+  directory_dirty_ = false;
+  // In crash-safe mode the old copy's segments are parked, not freed, until
+  // the checkpoint has made the new superblock durable.
+  if (old.empty()) return Status::OK();
+  return lob_->Destroy(&old);
 }
 
 StatusOr<uint64_t> Database::CreateObjectLocked() {
@@ -447,12 +449,11 @@ StatusOr<uint64_t> Database::CreateObjectLocked() {
   if (!adm.ok()) return span.Close(std::move(adm));
   uint64_t id = next_object_id_++;
   LobDescriptor d = lob_->CreateEmpty();
-  Bytes root = d.Serialize();
-  directory_.emplace_back(id, root);
-  PublishVersion(id, root, d.lsn, /*dead=*/false);
-  TouchLocked(id);
-  Status s = SaveDirectory();
-  if (!s.ok()) return span.Close(std::move(s));
+  ObjectSlot& slot = directory_[id];
+  slot.root = d.Serialize();
+  directory_dirty_ = true;
+  PublishVersion(id, slot.root, d.lsn, /*dead=*/false);
+  TouchLocked(&slot);
   return id;
 }
 
@@ -480,16 +481,16 @@ StatusOr<uint64_t> Database::CreateObjectFrom(ByteView data) {
   return id;
 }
 
+StatusOr<LobDescriptor> Database::DecodeRoot(const ObjectSlot& slot) {
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(slot.root));
+  if (slot.threshold_hint != 0) d.threshold_hint = slot.threshold_hint;
+  return d;
+}
+
 StatusOr<LobDescriptor> Database::GetRootLocked(uint64_t id) {
-  for (const auto& [oid, root] : directory_) {
-    if (oid == id) {
-      EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
-      auto hint = threshold_hints_.find(id);
-      if (hint != threshold_hints_.end()) d.threshold_hint = hint->second;
-      return d;
-    }
-  }
-  return Status::NotFound("object " + std::to_string(id));
+  const ObjectSlot* slot = FindOrNull(directory_, id);
+  if (slot == nullptr) return Status::NotFound("object " + std::to_string(id));
+  return DecodeRoot(*slot);
 }
 
 StatusOr<LobDescriptor> Database::GetRoot(uint64_t id) {
@@ -499,10 +500,8 @@ StatusOr<LobDescriptor> Database::GetRoot(uint64_t id) {
 
 void Database::SetObjectThreshold(uint64_t id, uint32_t threshold_pages) {
   ExclusiveLatchGuard guard(dir_latch_);
-  if (threshold_pages == 0) {
-    threshold_hints_.erase(id);
-  } else {
-    threshold_hints_[id] = threshold_pages;
+  if (ObjectSlot* slot = FindOrNull(directory_, id)) {
+    slot->threshold_hint = threshold_pages;
   }
 }
 
@@ -537,93 +536,80 @@ Status Database::MutateObjectLocked(uint64_t id, bool reclaims,
   } else {
     EOS_RETURN_IF_ERROR(allocator_->AdmitMutation());
   }
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
+  ObjectSlot* slot = FindOrNull(directory_, id);
+  if (slot == nullptr) return Status::NotFound("object " + std::to_string(id));
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d, DecodeRoot(*slot));
   if (log_ != nullptr) log_->set_current_object(id);
   {
     ScopedFreeCapture capture(allocator_.get());
     EOS_RETURN_IF_ERROR(lob_call(&d));
     pending_retired_ = capture.TakeCaptured();
   }
-  TouchLocked(id);
-  EOS_RETURN_IF_ERROR(PutRootLocked(id, d));
+  TouchLocked(slot);
+  EOS_RETURN_IF_ERROR(PutRootLocked(id, slot, d));
   return CommitMutationLocked(id, commit_lsn);
 }
 
-Status Database::PutRootLocked(uint64_t id, const LobDescriptor& d) {
-  for (auto& [oid, root] : directory_) {
-    if (oid == id) {
-      root = d.Serialize();
-      // Publish before the directory save: the in-memory root above is the
-      // current version from here on even if the save fails (the next
-      // successful save persists it), and snapshot pins must track it.
-      PublishVersion(id, root, d.lsn, /*dead=*/false);
-      Status s = SaveDirectory();
-      Status gc = DrainVersionGcLocked();
-      if (s.ok()) s = std::move(gc);
-      return s;
-    }
-  }
-  pending_retired_.clear();  // nothing published; drop any stale capture
-  return Status::NotFound("object " + std::to_string(id));
+Status Database::PutRootLocked(uint64_t id, ObjectSlot* slot,
+                               const LobDescriptor& d) {
+  slot->root = d.Serialize();
+  directory_dirty_ = true;
+  PublishVersion(id, slot->root, d.lsn, /*dead=*/false);
+  return DrainVersionGcLocked();
 }
 
 Status Database::PutRoot(uint64_t id, const LobDescriptor& d) {
   ExclusiveLatchGuard guard(dir_latch_);
-  Status s = PutRootLocked(id, d);
-  if (s.ok()) TouchLocked(id);
+  ObjectSlot* slot = FindOrNull(directory_, id);
+  if (slot == nullptr) return Status::NotFound("object " + std::to_string(id));
+  Status s = PutRootLocked(id, slot, d);
+  if (s.ok()) TouchLocked(slot);
   return s;
 }
 
-void Database::TouchLocked(uint64_t id) {
-  last_mutation_[id] = mutation_clock_.fetch_add(1) + 1;
+void Database::TouchLocked(ObjectSlot* slot) {
+  slot->last_mutation = mutation_clock_.fetch_add(1) + 1;
 }
 
 StatusOr<std::vector<uint64_t>> Database::ListObjects() {
   SharedLatchGuard guard(dir_latch_);
   std::vector<uint64_t> ids;
   ids.reserve(directory_.size());
-  for (const auto& [id, root] : directory_) ids.push_back(id);
+  for (const auto& [id, slot] : directory_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 Status Database::DropObject(uint64_t id) {
   obs::ScopedOp span("db.drop_object", id, device_.get());
   uint64_t commit_lsn = 0;
-  bool found = false;
   {
     ExclusiveLatchGuard guard(dir_latch_);
-    for (size_t i = 0; i < directory_.size(); ++i) {
-      if (directory_[i].first != id) continue;
-      found = true;
-      EOS_ASSIGN_OR_RETURN(
-          LobDescriptor d, LobDescriptor::Deserialize(directory_[i].second));
-      if (log_ != nullptr) log_->set_current_object(id);
-      // Destroy only frees, but the scope keeps any transient allocation
-      // (and the follow-up directory save) working on a full volume.
-      SegmentAllocator::EmergencyScope emergency;
-      {
-        ScopedFreeCapture capture(allocator_.get());
-        Status s = lob_->Destroy(&d);
-        if (!s.ok()) return span.Close(std::move(s));
-        pending_retired_ = capture.TakeCaptured();
-      }
-      directory_.erase(directory_.begin() + i);
-      holes_.erase(id);
-      last_mutation_.erase(id);
-      // Drop marker: open snapshots keep reading the final content version;
-      // the tree's extents free once the last pin releases.
-      PublishVersion(id, Bytes{}, 0, /*dead=*/true);
-      Status s = SaveDirectory();
-      if (!s.ok()) return span.Close(std::move(s));
-      s = CommitMutationLocked(id, &commit_lsn);
-      if (!s.ok()) return span.Close(std::move(s));
-      s = DrainVersionGcLocked();
-      if (!s.ok()) return span.Close(std::move(s));
-      break;
+    const ObjectSlot* slot = FindOrNull(directory_, id);
+    if (slot == nullptr) {
+      return span.Close(Status::NotFound("object " + std::to_string(id)));
     }
-  }
-  if (!found) {
-    return span.Close(Status::NotFound("object " + std::to_string(id)));
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(slot->root));
+    if (log_ != nullptr) log_->set_current_object(id);
+    // Destroy only frees, but the scope keeps any transient allocation
+    // working on a full volume.
+    SegmentAllocator::EmergencyScope emergency;
+    {
+      ScopedFreeCapture capture(allocator_.get());
+      Status s = lob_->Destroy(&d);
+      if (!s.ok()) return span.Close(std::move(s));
+      pending_retired_ = capture.TakeCaptured();
+    }
+    directory_.erase(id);
+    directory_dirty_ = true;
+    // Drop marker: open snapshots keep reading the final content version;
+    // the tree's extents free once the last pin releases.
+    PublishVersion(id, Bytes{}, 0, /*dead=*/true);
+    Status s = CommitMutationLocked(id, &commit_lsn);
+    if (!s.ok()) return span.Close(std::move(s));
+    s = DrainVersionGcLocked();
+    if (!s.ok()) return span.Close(std::move(s));
   }
   return span.Close(SyncCommit(commit_lsn));
 }
@@ -684,6 +670,11 @@ StatusOr<LobStats> Database::ObjectStats(uint64_t id) {
 Status Database::FlushLocked() {
   // A half-initialized Database (failed Open) has nothing to flush.
   if (pager_ == nullptr || allocator_ == nullptr) return Status::OK();
+  if (directory_dirty_) EOS_RETURN_IF_ERROR(SaveDirectory());
+  return SyncVolumeLocked();
+}
+
+Status Database::SyncVolumeLocked() {
   EOS_RETURN_IF_ERROR(WriteSuperblock());
   EOS_RETURN_IF_ERROR(pager_->FlushAll());
   return device_->Sync();
@@ -777,8 +768,9 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   // Deserialize every durable root. These are trustworthy: write-through
   // ordering guarantees a durable root only references durable pages.
   std::map<uint64_t, LobDescriptor> roots;
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, slot] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(slot.root));
     roots[id] = d;
   }
 
@@ -826,11 +818,9 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   // Phase 4: rebuild the directory. An object survives recovery if its
   // last committed record is not a destroy, or — when the log holds no
   // committed record for it — if the durable directory listed it (i.e. it
-  // was untouched since the last checkpoint, or an uncommitted destroy had
-  // already rewritten the directory).
-  std::set<uint64_t> durable_ids;
-  for (const auto& [id, root] : directory_) durable_ids.insert(id);
-  directory_.clear();
+  // was untouched since the last checkpoint). Survivors keep their hole
+  // maps; the checkpoint below writes the rebuilt directory.
+  std::unordered_map<uint64_t, ObjectSlot> recovered;
   for (auto& [id, d] : roots) {
     const Recovery::ObjectLog& records = records_of(id);
     uint64_t commit_lsn = Recovery::LastCommitLsn(records);
@@ -842,12 +832,17 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
       has_committed = true;
       destroyed = (r->op == LogOp::kDestroy);
     }
-    bool keep = has_committed ? !destroyed : durable_ids.count(id) > 0;
-    if (keep) directory_.emplace_back(id, d.Serialize());
+    ObjectSlot* durable = FindOrNull(directory_, id);
+    bool keep = has_committed ? !destroyed : durable != nullptr;
+    if (keep) {
+      ObjectSlot& slot = recovered[id];
+      if (durable != nullptr) slot = std::move(*durable);
+      slot.root = d.Serialize();
+    }
     if (id >= next_object_id_) next_object_id_ = id + 1;
   }
-  s = SaveDirectory();
-  if (!s.ok()) return span.Close(std::move(s));
+  directory_ = std::move(recovered);
+  directory_dirty_ = true;
   s = CheckpointLocked();
   if (!s.ok()) return span.Close(std::move(s));
   // The recovered directory is the ground truth now; every chain restarts
@@ -859,8 +854,9 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
 Status Database::CheckIntegrity() {
   SharedLatchGuard guard(dir_latch_);
   EOS_RETURN_IF_ERROR(allocator_->CheckInvariants());
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, slot] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(slot.root));
     EOS_RETURN_IF_ERROR(lob_->CheckInvariants(d));
   }
   if (!dir_object_.empty()) {
@@ -880,8 +876,9 @@ Status Database::LeakCheck(LeakCheckReport* report) {
   if (!dir_object_.empty()) {
     EOS_RETURN_IF_ERROR(lob_->CollectExtents(dir_object_, &refs));
   }
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, slot] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(slot.root));
     EOS_RETURN_IF_ERROR(lob_->CollectExtents(d, &refs));
   }
   if (deferred_frees_ != nullptr) {
@@ -976,8 +973,10 @@ Status Database::LeakCheck(LeakCheckReport* report) {
 Status Database::Scrub(ScrubReport* report) {
   // Shared for the whole pass: concurrent readers keep running (the
   // integrity suite races them on purpose), while mutators — including
-  // defrag migrations — wait rather than free pages mid-walk. The flush
-  // below only touches the pager and superblock, which no reader does.
+  // defrag migrations — wait rather than free pages mid-walk. The sync
+  // below only touches the pager and superblock, which no reader does; it
+  // leaves a dirty directory to the next Flush()/Checkpoint() and scrubs
+  // the copy the superblock points at.
   SharedLatchGuard guard(dir_latch_);
   obs::ScopedOp span("db.scrub", 0, device_.get());
   // On a volume set, scrub reads consult both mirror copies and repair the
@@ -992,7 +991,7 @@ Status Database::Scrub(ScrubReport* report) {
     }
   };
   // Scrub reads the device directly; make it current first.
-  Status s = FlushLocked();
+  Status s = SyncVolumeLocked();
   if (!s.ok()) return span.Close(std::move(s));
   static obs::Counter* verified_counter =
       obs::MetricsRegistry::Default().counter(obs::kScrubPagesVerified);
@@ -1035,8 +1034,9 @@ Status Database::Scrub(ScrubReport* report) {
 // out over a few worker threads (each with its own repair scope and
 // report, merged afterward); otherwise it runs inline.
 Status Database::ScrubObjectsLocked(ScrubReport* report) {
-  std::vector<std::pair<uint64_t, Bytes>> work(directory_.begin(),
-                                               directory_.end());
+  std::vector<std::pair<uint64_t, Bytes>> work;
+  work.reserve(directory_.size());
+  for (const auto& [id, slot] : directory_) work.emplace_back(id, slot.root);
   size_t threads = 1;
   if (options_.parallel_io && volume_set_ != nullptr) {
     threads = std::min<size_t>({4, volume_set_->member_count(), work.size()});
@@ -1093,7 +1093,11 @@ Status Database::RepairObject(uint64_t id) {
         Status::Busy("open snapshots pin superseded versions; release all "
                      "snapshots before RepairObject()"));
   }
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
+  ObjectSlot* slot = FindOrNull(directory_, id);
+  if (slot == nullptr) {
+    return span.Close(Status::NotFound("object " + std::to_string(id)));
+  }
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d, DecodeRoot(*slot));
   std::vector<HoleRange> holes;
   auto salvaged = lob_->Salvage(d, &holes);
   if (!salvaged.ok()) return span.Close(salvaged.status());
@@ -1103,27 +1107,21 @@ Status Database::RepairObject(uint64_t id) {
   // is the salvage rewrite — neither belongs in the operation log.
   ScopedDirLogSuspend suspend(lob_.get());
   EOS_ASSIGN_OR_RETURN(LobDescriptor repaired, lob_->CreateFrom(content));
-  Status s = Status::OK();
-  for (auto& [oid, root] : directory_) {
-    if (oid == id) {
-      root = repaired.Serialize();
-      break;
-    }
-  }
-  if (holes.empty()) {
-    holes_.erase(id);
-  } else {
-    holes_[id] = std::move(holes);
-  }
-  s = SaveDirectory();
+  slot->root = repaired.Serialize();
+  slot->holes = std::move(holes);
+  directory_dirty_ = true;
+  // Publish the current roots before the rebuild below frees what only
+  // older roots reach. Until this flush the durable superblock may still
+  // name an older directory (the last one whose flush succeeded), and the
+  // trees it lists must keep their pages.
+  Status s = FlushLocked();
   if (!s.ok()) return span.Close(std::move(s));
 
   // The old tree cannot be freed *through* — its corrupt pages are exactly
   // why we are here — so reclaim by rebuilding the allocation maps from
   // reachability, as crash recovery does. Parked deferred frees describe
-  // extents by the same unreachable trees; drop them (WipeAndRebuild
-  // frees everything unreachable anyway, and the roots become durable at
-  // the Flush below, so early reuse is safe). Version chains reference
+  // extents no durable root reaches anymore; drop them (WipeAndRebuild
+  // frees everything unreachable anyway). Version chains reference
   // the same untrusted trees; with no pins open (checked above) they are
   // dropped outright and reseeded from the repaired directory once the
   // rebuild is durable.
@@ -1139,8 +1137,9 @@ Status Database::RepairObject(uint64_t id) {
     s = lob_->CollectExtents(dir_object_, &live);
     if (!s.ok()) return span.Close(std::move(s));
   }
-  for (const auto& [oid, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor od, LobDescriptor::Deserialize(root));
+  for (const auto& [oid, oslot] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor od,
+                         LobDescriptor::Deserialize(oslot.root));
     s = lob_->CollectExtents(od, &live);
     if (!s.ok()) return span.Close(std::move(s));
   }
@@ -1157,8 +1156,32 @@ Status Database::RepairObject(uint64_t id) {
 
 std::vector<HoleRange> Database::GetHoles(uint64_t id) const {
   SharedLatchGuard guard(dir_latch_);
-  auto it = holes_.find(id);
-  return it == holes_.end() ? std::vector<HoleRange>{} : it->second;
+  const ObjectSlot* slot = FindOrNull(directory_, id);
+  return slot == nullptr ? std::vector<HoleRange>{} : slot->holes;
+}
+
+uint64_t Database::DirectoryMemoryBytes() const {
+  // One bucket pointer per bucket and one node (next pointer + entry) per
+  // entry, as std::unordered_map lays them out; heap headers not counted.
+  auto table_bytes = [](const auto& map) -> uint64_t {
+    using Entry = typename std::decay_t<decltype(map)>::value_type;
+    return map.bucket_count() * sizeof(void*) +
+           map.size() * (sizeof(void*) + sizeof(Entry));
+  };
+  SharedLatchGuard guard(dir_latch_);
+  uint64_t bytes = table_bytes(directory_);
+  for (const auto& [id, slot] : directory_) {
+    bytes += slot.root.capacity() + slot.holes.capacity() * sizeof(HoleRange);
+  }
+  LatchGuard vguard(versions_latch_);
+  bytes += table_bytes(versions_);
+  for (const auto& [id, chain] : versions_) {
+    bytes += chain.capacity() * sizeof(ObjectVersion);
+    for (const ObjectVersion& v : chain) {
+      bytes += v.root.capacity() + v.retired.capacity() * sizeof(Extent);
+    }
+  }
+  return bytes;
 }
 
 void Database::AttachLog(LogManager* log) {
@@ -1191,11 +1214,9 @@ void Snapshot::Release() {
 uint64_t Database::CacheVseqLocked(uint64_t id) {
   if (cache_ == nullptr) return 0;
   LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it == versions_.end() || it->second.empty() || it->second.back().dead) {
-    return 0;
-  }
-  return it->second.back().vseq;
+  const VersionChain* chain = FindOrNull(versions_, id);
+  if (chain == nullptr || chain->empty() || chain->back().dead) return 0;
+  return chain->back().vseq;
 }
 
 void Database::DropVersionsLocked(std::vector<Extent> reclaimed) {
@@ -1221,11 +1242,11 @@ void Database::SeedVersionChains() {
   versions_.clear();
   gc_ready_.clear();
   pending_retired_.clear();
-  for (const auto& [id, root] : directory_) {
+  for (const auto& [id, slot] : directory_) {
     ObjectVersion v;
     v.vseq = 1;
-    v.root = root;
-    auto d = LobDescriptor::Deserialize(root);
+    v.root = slot.root;
+    auto d = LobDescriptor::Deserialize(slot.root);
     if (d.ok()) v.lsn = d.value().lsn;
     versions_[id].push_back(std::move(v));
   }
@@ -1262,16 +1283,17 @@ void Database::PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
 void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
   static obs::Counter* gcd =
       obs::MetricsRegistry::Default().counter(obs::kTxnVersionsGcd);
-  bool advanced = false;
-  while (!chain->empty() && chain->front().pins == 0 &&
-         (chain->size() > 1 || chain->front().dead)) {
-    ObjectVersion& v = chain->front();
+  size_t collected = 0;
+  while (collected < chain->size()) {
+    const ObjectVersion& v = (*chain)[collected];
+    bool last = collected + 1 == chain->size();
+    if (v.pins != 0 || (last && !v.dead)) break;
     gc_ready_.insert(gc_ready_.end(), v.retired.begin(), v.retired.end());
-    chain->pop_front();
     gcd->Inc();
-    advanced = true;
+    ++collected;
   }
-  if (advanced && cache_ != nullptr) {
+  chain->erase(chain->begin(), chain->begin() + collected);
+  if (collected > 0 && cache_ != nullptr) {
     // The collected versions can never be pinned again; their cached
     // extent images are unreachable and only waste budget — drop them.
     // Everything at or above the surviving front stays valid.
@@ -1284,28 +1306,26 @@ void Database::ReleaseSnapshotPin(uint64_t id, uint64_t vseq) {
   static obs::Gauge* open_gauge =
       obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
   LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it != versions_.end()) {
-    for (ObjectVersion& v : it->second) {
+  if (VersionChain* chain = FindOrNull(versions_, id)) {
+    for (ObjectVersion& v : *chain) {
       if (v.vseq == vseq) {
         if (v.pins > 0) --v.pins;
         break;
       }
     }
-    CollectChainLocked(id, &it->second);
-    if (it->second.empty()) versions_.erase(it);
+    CollectChainLocked(id, chain);
+    if (chain->empty()) versions_.erase(id);
   }
   open_gauge->Add(-1);
 }
 
 Status Database::DrainVersionGcLocked() {
+  // Every chain is collected where it changes (PublishVersion,
+  // ReleaseSnapshotPin), so gc_ready_ already holds all collectable
+  // storage; walking the chains here would cost O(objects) per mutation.
   std::vector<Extent> ready;
   {
     LatchGuard vguard(versions_latch_);
-    for (auto it = versions_.begin(); it != versions_.end();) {
-      CollectChainLocked(it->first, &it->second);
-      it = it->second.empty() ? versions_.erase(it) : std::next(it);
-    }
     ready.swap(gc_ready_);
   }
   if (ready.empty()) return Status::OK();
@@ -1349,11 +1369,11 @@ StatusOr<Snapshot> Database::BeginSnapshot(uint64_t id) {
   static obs::Gauge* open_gauge =
       obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
   LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it == versions_.end() || it->second.empty() || it->second.back().dead) {
+  VersionChain* chain = FindOrNull(versions_, id);
+  if (chain == nullptr || chain->empty() || chain->back().dead) {
     return Status::NotFound("object " + std::to_string(id));
   }
-  ObjectVersion& v = it->second.back();
+  ObjectVersion& v = chain->back();
   EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(v.root));
   ++v.pins;
   open_gauge->Add(1);
@@ -1388,19 +1408,19 @@ StatusOr<Bytes> Database::SnapshotRead(const Snapshot& snap, uint64_t offset,
 StatusOr<std::vector<Database::VersionInfo>> Database::ListVersions(
     uint64_t id) {
   LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it == versions_.end() || it->second.empty()) {
+  const VersionChain* chain = FindOrNull(versions_, id);
+  if (chain == nullptr || chain->empty()) {
     return Status::NotFound("object " + std::to_string(id));
   }
   std::vector<VersionInfo> out;
-  out.reserve(it->second.size());
-  for (const ObjectVersion& v : it->second) {
+  out.reserve(chain->size());
+  for (const ObjectVersion& v : *chain) {
     VersionInfo info;
     info.vseq = v.vseq;
     info.lsn = v.lsn;
     info.pins = v.pins;
     info.retired_extents = static_cast<uint32_t>(v.retired.size());
-    info.current = (&v == &it->second.back());
+    info.current = (&v == &chain->back());
     info.dead = v.dead;
     if (!v.dead) {
       EOS_ASSIGN_OR_RETURN(LobDescriptor d,
@@ -1426,14 +1446,14 @@ StatusOr<std::vector<DefragHost::ObjectFacts>> Database::CollectObjectFacts() {
   SharedLatchGuard guard(dir_latch_);
   std::vector<DefragHost::ObjectFacts> facts;
   facts.reserve(directory_.size());
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, slot] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(slot.root));
     EOS_ASSIGN_OR_RETURN(LobStats stats, lob_->Stats(d));
     DefragHost::ObjectFacts f;
     f.id = id;
     f.stats = stats;
-    auto heat = last_mutation_.find(id);
-    f.last_mutation = heat == last_mutation_.end() ? 0 : heat->second;
+    f.last_mutation = slot.last_mutation;
     facts.push_back(std::move(f));
   }
   return facts;
@@ -1447,13 +1467,16 @@ Status Database::MigrateObject(uint64_t id, uint64_t horizon,
   obs::ScopedOp span("db.defrag_migrate", id, device_.get());
   // The cold classification came from an earlier unlatched scan; an object
   // mutated (or dropped) since is no longer the one that was scored.
-  auto heat = last_mutation_.find(id);
-  if (heat != last_mutation_.end() && heat->second > horizon) {
+  ObjectSlot* slot = FindOrNull(directory_, id);
+  if (slot == nullptr) {
+    return span.Close(Status::NotFound("object " + std::to_string(id)));
+  }
+  if (slot->last_mutation > horizon) {
     return span.Close(Status::Busy("object went hot before migration"));
   }
   Status adm = allocator_->AdmitMutation(std::max<uint32_t>(1, headroom_pages));
   if (!adm.ok()) return span.Close(std::move(adm));
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d, DecodeRoot(*slot));
   // Reorganize is content-neutral and unlogged: it streams the bytes into
   // fresh maximal segments, keeps the root LSN, and frees (crash-safe:
   // parks) the old tree, so a crash mid-migration recovers from the old
@@ -1465,7 +1488,7 @@ Status Database::MigrateObject(uint64_t id, uint64_t horizon,
     if (!s.ok()) return span.Close(std::move(s));
     pending_retired_ = capture.TakeCaptured();
   }
-  return span.Close(PutRootLocked(id, d));
+  return span.Close(PutRootLocked(id, slot, d));
 }
 
 Status Database::ReleaseMigratedStorage() {

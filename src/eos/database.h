@@ -3,11 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "buddy/segment_allocator.h"
@@ -32,8 +31,9 @@ class VerifiedPageDevice;
 // containing a superblock, a sequence of buddy segment spaces, and a
 // persistent object directory mapping object ids to their large-object
 // roots. The paper leaves root placement to the client; Database is one
-// such client — it keeps all roots in a directory that is itself a large
-// object whose root lives in the superblock.
+// such client — it keeps every root in a DRAM-resident directory and
+// persists it, at Flush()/Checkpoint(), as a large object whose root lives
+// in the superblock.
 struct DatabaseOptions {
   uint32_t page_size = 4096;
   uint32_t space_pages = 0;  // 0 = as many as one directory page can map
@@ -274,7 +274,7 @@ class Database : private DefragHost {
 
   // Per-object segment size threshold hint (Section 4.4); applies to all
   // subsequent operations on `id` through this Database handle. 0 resets
-  // to the manager default.
+  // to the manager default; an unknown id is ignored.
   void SetObjectThreshold(uint64_t id, uint32_t threshold_pages);
 
   // Rewrites the object into its optimal layout (LobManager::Reorganize).
@@ -332,7 +332,10 @@ class Database : private DefragHost {
 
   // ----- plumbing ------------------------------------------------------------
 
-  // Flushes the pager, rewrites the superblock, syncs the device.
+  // Writes the object directory if it changed since the last flush,
+  // rewrites the superblock to point at it, flushes the pager and syncs the
+  // device. If the directory write fails, the superblock keeps the
+  // previous directory and the next Flush() retries the write.
   Status Flush();
 
   // Flush(), then (crash-safe mode) returns the segments freed since the
@@ -346,8 +349,8 @@ class Database : private DefragHost {
   //      directory object plus every directory root);
   //   2. per object — including ids only the log knows — redoes committed
   //      records and removes in-flight effects (Recovery::RecoverObject);
-  //   3. drops objects whose last committed record is a destroy, saves the
-  //      recovered directory, and checkpoints.
+  //   3. drops objects whose last committed record is a destroy, and
+  //      checkpoints, which writes the recovered directory.
   // `log` is the surviving write-ahead log, in emit order.
   Status Recover(const std::vector<LogRecord>& log);
 
@@ -371,7 +374,7 @@ class Database : private DefragHost {
 
   // Rebuilds a damaged object from whatever Salvage can still read: the
   // unrecoverable byte ranges are zero-filled and recorded as the object's
-  // hole map (persisted in the directory), the content is rewritten into
+  // hole map (persisted with the directory), the content is rewritten into
   // fresh storage, and the allocation maps are rebuilt from reachability —
   // the corrupt subtrees cannot be freed through, so the old pages are
   // reclaimed by rebuilding instead. Reads of the repaired object work
@@ -390,7 +393,16 @@ class Database : private DefragHost {
   // carries its own integrity layer; verified_device() is null then).
   VolumeSetDevice* volume_set() { return volume_set_; }
 
+  // Root of the directory object as last written (at the most recent
+  // Flush()/Checkpoint()); later creates, drops and edits live only in the
+  // DRAM directory until the next one.
   const LobDescriptor& dir_object() const { return dir_object_; }
+
+  // Estimated DRAM of the per-object state: directory slots (root image,
+  // hole map) and version chains (each version's root image copy and
+  // retired extents), table buckets and nodes included, heap headers not.
+  // O(objects); for benches and inspection.
+  uint64_t DirectoryMemoryBytes() const;
 
   LobManager* lob() { return lob_.get(); }
   // Non-null iff options.cache_bytes > 0.
@@ -431,6 +443,9 @@ class Database : private DefragHost {
   // [id u64][root_len u32][hole_count u32][root][(off u64, len u64)...]...
   // v1 streams ([id u64][len u32][root]...) still parse.
   Status LoadDirectory();
+  // Serializes directory_ into a new directory object, then destroys the
+  // previous one. On failure dir_object_ and directory_dirty_ are left as
+  // they were. Caller holds dir_latch_ exclusive.
   Status SaveDirectory();
 
   // The one write path of the public object mutations: latches, admits the
@@ -449,16 +464,28 @@ class Database : private DefragHost {
   // receives the marker's LSN (0 without a log).
   Status MutateObjectLocked(uint64_t id, bool reclaims,
                             const LobCall& lob_call, uint64_t* commit_lsn);
+  struct ObjectSlot;
+  // The slot's root with its threshold hint applied.
+  static StatusOr<LobDescriptor> DecodeRoot(const ObjectSlot& slot);
   StatusOr<LobDescriptor> GetRootLocked(uint64_t id);
-  Status PutRootLocked(uint64_t id, const LobDescriptor& d);
+  // Makes `d` the current root of `id`, whose slot is `slot`: stores and
+  // publishes it and marks the directory for the next flush.
+  Status PutRootLocked(uint64_t id, ObjectSlot* slot, const LobDescriptor& d);
+  // Writes the directory if dirty, then SyncVolumeLocked(). Caller holds
+  // dir_latch_ exclusive.
   Status FlushLocked();
+  // Rewrites the superblock around the current dir_object_, flushes the
+  // pager and syncs the device. Shared dir_latch_ suffices: it changes no
+  // directory state.
+  Status SyncVolumeLocked();
   Status CheckpointLocked();
   // Per-object leg of Scrub(); fans out across threads on a multi-member
   // volume set with parallel_io.
   Status ScrubObjectsLocked(ScrubReport* report);
-  // Records a foreground mutation of `id` on the heat clock, so the
-  // defragmenter can tell cold objects from ones still being written.
-  void TouchLocked(uint64_t id);
+  // Records a foreground mutation of the slot's object on the heat clock,
+  // so the defragmenter can tell cold objects from ones still being
+  // written.
+  void TouchLocked(ObjectSlot* slot);
 
   // The version tag Read() binds into the extent cache for `id`: the
   // chain-current vseq. 0 (don't cache) when the cache is off or the id is
@@ -478,7 +505,8 @@ class Database : private DefragHost {
     bool dead = false;
     std::vector<Extent> retired;
   };
-  using VersionChain = std::deque<ObjectVersion>;
+  // Oldest first; chains are short unless a snapshot pins an old version.
+  using VersionChain = std::vector<ObjectVersion>;
 
   // Rebuilds every chain from directory_ (open, recovery): one unpinned
   // current version per object. Clears gc staging and stale capture state.
@@ -542,22 +570,32 @@ class Database : private DefragHost {
   std::unique_ptr<CheckpointFreeList> deferred_frees_;  // crash-safe only
   LogManager* log_ = nullptr;
 
+  // One object's directory entry. Only `root` and `holes` are persisted;
+  // the threshold hint and heat stamp live for this handle only.
+  struct ObjectSlot {
+    Bytes root;                    // serialized LobDescriptor
+    std::vector<HoleRange> holes;  // RepairObject's hole map
+    uint32_t threshold_hint = 0;   // SetObjectThreshold; 0 = manager default
+    uint64_t last_mutation = 0;    // heat clock stamp (TouchLocked)
+  };
+
   uint64_t next_object_id_ = 1;
-  std::map<uint64_t, uint32_t> threshold_hints_;
-  LobDescriptor dir_object_;  // the directory's own root
-  std::vector<std::pair<uint64_t, Bytes>> directory_;  // id -> root image
-  std::map<uint64_t, std::vector<HoleRange>> holes_;   // id -> hole map
+  LobDescriptor dir_object_;  // the directory object as last written
+  // The DRAM directory, the source of truth for every object's root. It
+  // reaches the volume only at FlushLocked(): between checkpoints the WAL
+  // orders every create, drop and edit, and recovery replays them onto the
+  // checkpointed copy.
+  std::unordered_map<uint64_t, ObjectSlot> directory_;
+  // directory_ differs from the copy dir_object_ holds.
+  bool directory_dirty_ = false;
 
   // Reader/writer latch over the directory and all object state above;
   // shared for reads/stats, exclusive for mutations. Mutable so const
   // accessors (GetHoles) can latch.
   mutable SharedLatch dir_latch_;
-  // Heat tracking for defrag cold/hot classification: every foreground
-  // mutation bumps the clock and stamps its object (map guarded by
-  // dir_latch_ exclusive; clock is atomic so the defragmenter can read it
-  // latch-free).
+  // Heat clock for ObjectSlot::last_mutation; atomic so the defragmenter
+  // can read it latch-free.
   std::atomic<uint64_t> mutation_clock_{0};
-  std::map<uint64_t, uint64_t> last_mutation_;
   std::unique_ptr<Defragmenter> defrag_;
 
   // MVCC state. versions_/gc_ready_ are guarded by versions_latch_ — a
@@ -565,7 +603,7 @@ class Database : private DefragHost {
   // release take only versions_latch_, which is what keeps readers off the
   // directory latch). pending_retired_ is a writer-side staging slot and
   // is guarded by dir_latch_ exclusive alone.
-  std::map<uint64_t, VersionChain> versions_;
+  std::unordered_map<uint64_t, VersionChain> versions_;
   std::vector<Extent> gc_ready_;
   mutable Latch versions_latch_;
   std::vector<Extent> pending_retired_;

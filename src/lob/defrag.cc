@@ -87,9 +87,11 @@ Status Defragmenter::Tick(DefragReport* report) {
                          f.stats.leaf_pages + f.stats.index_pages, scatter});
   }
   // Worst offenders first, so a throttled tick spends its budget where the
-  // drift is largest.
-  std::sort(picks.begin(), picks.end(),
-            [](const Pick& a, const Pick& b) { return a.scatter > b.scatter; });
+  // drift is largest; ties go to the lower id, whatever order the host
+  // listed the objects in.
+  std::sort(picks.begin(), picks.end(), [](const Pick& a, const Pick& b) {
+    return a.scatter != b.scatter ? a.scatter > b.scatter : a.id < b.id;
+  });
 
   for (const Pick& p : picks) {
     if (rep.migrated >= opt_.max_objects_per_tick) break;

@@ -42,6 +42,12 @@ constexpr uint32_t kPageSize = 256;
 constexpr int kObjects = 4;
 constexpr int kMutationOps = 30;
 constexpr int kDropStep = kMutationOps / 2;  // DropObject of the last object
+// Script ops between checkpoints in the exhaustive sweep. The directory
+// reaches the volume only at a checkpoint, so this is what puts crash
+// points inside directory writes.
+constexpr int kCheckpointEvery = 3;
+// The MVCC sweep's checkpoints double as version-GC boundaries.
+constexpr int kMvccCheckpointEvery = 7;
 
 DatabaseOptions TortureOptions() {
   DatabaseOptions opt;
@@ -106,15 +112,17 @@ struct Harness {
   ChaosPageDevice* chaos = nullptr;
   std::vector<uint64_t> ids;
   uint64_t setup_lsn = 0;  // last LSN of the setup phase
-  // Cycle a snapshot pin and checkpoint periodically while the script
-  // runs (see RunMutation).
+  // Cycle a snapshot pin while the script runs (see RunMutation).
   bool cycle_pins = false;
+  // Checkpoint after every n-th script op (0 = never).
+  int checkpoint_every = 0;
 };
 
 Harness MakeHarness(uint64_t seed, std::vector<ModelLob>* models,
-                    bool cycle_pins = false) {
+                    bool cycle_pins = false, int checkpoint_every = 0) {
   Harness h;
   h.cycle_pins = cycle_pins;
+  h.checkpoint_every = checkpoint_every;
   h.log = std::make_unique<LogManager>();
   auto chaos = std::make_unique<ChaosPageDevice>(
       std::make_unique<MemPageDevice>(kPageSize, 1), seed);
@@ -157,10 +165,10 @@ void RunMutation(Harness* h, const std::vector<ScriptedOp>& script,
   for (size_t i = 0; i < h->ids.size(); ++i) {
     (*committed)[h->ids[i]] = std::string(models[i].bytes());
   }
-  // With cycle_pins a snapshot pin cycles open/closed across the script
-  // and periodic checkpoints drain version GC, so the crash-write window
-  // also covers version-chain publish with a live pin and GC reclaim frees.
-  // Local to this function: the pin must release before the db dies.
+  // With cycle_pins a snapshot pin cycles open/closed across the script,
+  // so the crash-write window also covers version-chain publish with a
+  // live pin. Local to this function: the pin must release before the db
+  // dies.
   Snapshot pin;
   for (size_t j = 0; j < script.size(); ++j) {
     const ScriptedOp& s = script[j];
@@ -200,10 +208,15 @@ void RunMutation(Harness* h, const std::vector<ScriptedOp>& script,
       } else if (j % 5 == 4) {
         pin.Release();
       }
-      // GC boundary: superseded unpinned versions free here, so sampled
-      // crash points land inside the reclaim writes too. Fails once the
-      // device has died; that is part of the sweep.
-      if (j % 7 == 6) (void)h->db->Checkpoint();
+    }
+    // Checkpoint boundary: the directory is written, the superblock moves
+    // to it, and parked and GC-reclaimed extents free, so sampled crash
+    // points land inside those writes too. Fails once the device has
+    // died; that is part of the sweep.
+    if (h->checkpoint_every > 0 &&
+        j % h->checkpoint_every ==
+            static_cast<size_t>(h->checkpoint_every - 1)) {
+      (void)h->db->Checkpoint();
     }
     if (s.drop) {
       (*committed)[id] = std::nullopt;
@@ -284,9 +297,10 @@ std::unique_ptr<Database> CrashAndRecover(uint64_t seed,
                                           uint64_t k, bool tear,
                                           CommittedMap* committed,
                                           std::vector<LogRecord>* wal_out,
-                                          bool cycle_pins = false) {
+                                          bool cycle_pins,
+                                          int checkpoint_every) {
   std::vector<ModelLob> models;
-  Harness h = MakeHarness(seed, &models, cycle_pins);
+  Harness h = MakeHarness(seed, &models, cycle_pins, checkpoint_every);
   if (h.db == nullptr) return nullptr;
   h.chaos->CrashAfterWrites(k, tear ? 1 : 0);
   RunMutation(&h, script, models, committed, /*expect_ok=*/false);
@@ -317,7 +331,8 @@ TEST(CrashRecoveryTortureTest, ExhaustiveCrashPoints) {
   // Fault-free reference run: build the script, record the committed
   // oracle, and measure W, the workload's write-call count.
   std::vector<ModelLob> models;
-  Harness ref = MakeHarness(seed, &models);
+  Harness ref = MakeHarness(seed, &models, /*cycle_pins=*/false,
+                            kCheckpointEvery);
   ASSERT_NE(ref.db, nullptr);
   std::vector<ScriptedOp> script = MakeScript(seed, models);
   CommittedMap committed_ref;
@@ -341,7 +356,8 @@ TEST(CrashRecoveryTortureTest, ExhaustiveCrashPoints) {
     CommittedMap committed;
     std::unique_ptr<Database> db =
         CrashAndRecover(seed, script, k, /*tear=*/(points % 3 == 0),
-                        &committed, nullptr);
+                        &committed, nullptr, /*cycle_pins=*/false,
+                        kCheckpointEvery);
     ASSERT_NE(db, nullptr);
     EOS_ASSERT_OK(db->CheckIntegrity());
     ASSERT_TRUE(MatchesCommitted(db.get(), committed, &why))
@@ -363,7 +379,8 @@ TEST(CrashRecoveryTortureTest, MvccCrashPointsAroundPublishAndGc) {
                " (re-run with EOS_TEST_SEED=<seed>)");
 
   std::vector<ModelLob> models;
-  Harness ref = MakeHarness(seed, &models, /*cycle_pins=*/true);
+  Harness ref = MakeHarness(seed, &models, /*cycle_pins=*/true,
+                            kMvccCheckpointEvery);
   ASSERT_NE(ref.db, nullptr);
   std::vector<ScriptedOp> script = MakeScript(seed, models);
   CommittedMap committed_ref;
@@ -385,7 +402,8 @@ TEST(CrashRecoveryTortureTest, MvccCrashPointsAroundPublishAndGc) {
     CommittedMap committed;
     std::unique_ptr<Database> db =
         CrashAndRecover(seed, script, k, /*tear=*/(points % 3 == 0),
-                        &committed, nullptr, /*cycle_pins=*/true);
+                        &committed, nullptr, /*cycle_pins=*/true,
+                        kMvccCheckpointEvery);
     ASSERT_NE(db, nullptr);
     EOS_ASSERT_OK(db->CheckIntegrity());
     ASSERT_TRUE(MatchesCommitted(db.get(), committed, &why))

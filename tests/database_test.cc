@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "io/chaos_device.h"
 #include "tests/test_util.h"
 
 namespace eos {
@@ -195,6 +199,126 @@ TEST(DatabaseTest, PerObjectThresholdAndReorganize) {
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(*all, model);
   EOS_EXPECT_OK((*db)->CheckIntegrity());
+}
+
+// Opens a copy of the chaos device's persisted image, as a restart would.
+std::unique_ptr<Database> ReopenImage(ChaosPageDevice* chaos,
+                                      const DatabaseOptions& opt =
+                                          SmallOptions()) {
+  auto image = chaos->CloneImage();
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  if (!image.ok()) return nullptr;
+  auto db = Database::OpenOnDevice(std::move(*image), opt);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return nullptr;
+  return std::move(*db);
+}
+
+// The directory reaches the volume only at Flush()/Checkpoint(). A write
+// fault there must fail the flush, keep the superblock on the previous
+// directory object, and keep the directory dirty, so the next flush
+// persists the current state instead of an empty or stale directory. The
+// fault is swept across an edit and the flush that follows it.
+TEST(DatabaseTest, FailedDirectoryWriteKeepsPreviousDirectory) {
+  int failed_flushes = 0;
+  for (int k = 0; k < 6; ++k) {
+    SCOPED_TRACE("write fault after " + std::to_string(k) + " writes");
+    auto owner = std::make_unique<ChaosPageDevice>(
+        std::make_unique<MemPageDevice>(SmallOptions().page_size, 1), k);
+    ChaosPageDevice* chaos = owner.get();
+    auto db = Database::CreateOnDevice(std::move(owner), SmallOptions());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto a = (*db)->CreateObjectFrom(PatternBytes(30, 3000));
+    auto b = (*db)->CreateObjectFrom(PatternBytes(31, 3000));
+    ASSERT_TRUE(a.ok() && b.ok());
+    EOS_ASSERT_OK((*db)->Flush());
+    const std::vector<uint64_t> both = {*a, *b};
+
+    chaos->FailWritesAfter(k);
+    (void)(*db)->Append(*a, PatternBytes(32, 500));  // may fail; that's fine
+    Status flushed = (*db)->Flush();
+    chaos->Heal();
+    if (!flushed.ok()) {
+      ++failed_flushes;
+      std::unique_ptr<Database> before = ReopenImage(chaos);
+      ASSERT_NE(before, nullptr);
+      auto ids = before->ListObjects();
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      EXPECT_EQ(*ids, both);
+    }
+
+    EOS_ASSERT_OK((*db)->Flush());
+    auto live_size = (*db)->Size(*a);
+    ASSERT_TRUE(live_size.ok()) << live_size.status().ToString();
+    std::unique_ptr<Database> after = ReopenImage(chaos);
+    ASSERT_NE(after, nullptr);
+    auto ids = after->ListObjects();
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    EXPECT_EQ(*ids, both);
+    auto size = after->Size(*a);
+    ASSERT_TRUE(size.ok()) << size.status().ToString();
+    EXPECT_EQ(*size, *live_size);
+  }
+  EXPECT_GT(failed_flushes, 0) << "no fault landed inside a flush";
+}
+
+// A flush whose directory write succeeded but whose superblock write
+// failed leaves the durable superblock on the directory before it, and
+// that directory still lists trees the current roots have superseded.
+// RepairObject rebuilds the allocation maps from the current roots, so it
+// must move the superblock first: a crash anywhere inside the repair has
+// to reopen to a volume whose every listed object reads back intact.
+TEST(DatabaseTest, CrashDuringRepairAfterFailedFlushKeepsVolumeReadable) {
+  DatabaseOptions opt = SmallOptions();
+  opt.crash_safe = true;
+  const Bytes a0 = PatternBytes(40, 3000);
+  const Bytes tail = PatternBytes(42, 500);
+  const Bytes b0 = PatternBytes(41, 3000);
+  Bytes a1 = a0;
+  a1.insert(a1.end(), tail.begin(), tail.end());
+  int failed_flushes = 0;
+  int crashed_repairs = 0;
+  for (int k = 0; k < 4; ++k) {
+    for (int c = 0; c < 12; ++c) {
+      SCOPED_TRACE("flush fails after " + std::to_string(k) +
+                   " writes, repair crashes after " + std::to_string(c));
+      auto owner = std::make_unique<ChaosPageDevice>(
+          std::make_unique<MemPageDevice>(opt.page_size, 1), k);
+      ChaosPageDevice* chaos = owner.get();
+      auto db = Database::CreateOnDevice(std::move(owner), opt);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      auto a = (*db)->CreateObjectFrom(a0);
+      auto b = (*db)->CreateObjectFrom(b0);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EOS_ASSERT_OK((*db)->Flush());
+      EOS_ASSERT_OK((*db)->Append(*a, tail));
+
+      chaos->FailWritesAfter(k, /*permanent=*/true);
+      Status flushed = (*db)->Flush();
+      chaos->Heal();
+      if (flushed.ok()) continue;
+      if (c == 0) ++failed_flushes;
+
+      chaos->CrashAfterWrites(c);
+      if (!(*db)->RepairObject(*b).ok()) ++crashed_repairs;
+      std::unique_ptr<Database> after = ReopenImage(chaos, opt);
+      ASSERT_NE(after, nullptr);
+      EOS_ASSERT_OK(after->Recover({}));
+      auto ids = after->ListObjects();
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      EXPECT_EQ(*ids, (std::vector<uint64_t>{*a, *b}));
+      auto got_a = after->Read(*a, 0, a1.size());
+      ASSERT_TRUE(got_a.ok()) << got_a.status().ToString();
+      EXPECT_TRUE(*got_a == a0 || *got_a == a1) << "object a reads neither "
+                                                   "its old nor its new bytes";
+      auto got_b = after->Read(*b, 0, b0.size());
+      ASSERT_TRUE(got_b.ok()) << got_b.status().ToString();
+      EXPECT_EQ(*got_b, b0);
+      EOS_EXPECT_OK(after->CheckIntegrity());
+    }
+  }
+  EXPECT_GT(failed_flushes, 0) << "no fault landed inside a flush";
+  EXPECT_GT(crashed_repairs, 0) << "no crash landed inside a repair";
 }
 
 }  // namespace

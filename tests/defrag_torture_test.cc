@@ -382,6 +382,10 @@ TEST(DefragTortureTest, AllocFaultDuringMigrationUnwindsWithoutLeaks) {
   o.page_size = 1024;
   o.pager_frames = 64;
   o.defrag = EagerDefrag();
+  // Small maximal segments: the ~84-page object migrates into about a
+  // dozen of them, so the swept fault lands on the migration's own
+  // allocations rather than on bookkeeping around it.
+  o.lob.max_segment_pages = 8;
   auto db_or = Database::CreateOnDevice(
       std::make_unique<MemPageDevice>(o.page_size, 1), o);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Check runner (DESIGN.md "Testing & fault model"): a metric-name lint,
-# the committed aging-curve gate, plus four build tiers:
+# the committed aging-curve gate, four build tiers, and a last committed
+# bench gate:
 #
 #   0. tools/check_metric_names.py — metric_names.h <-> instrumentation
 #      <-> DESIGN.md table consistency — and the BENCH_7.json aging gate
@@ -29,6 +30,10 @@
 #      default seed; then VolumeTortureTest.ConcurrentScrubWithVolumeFailure
 #      50 times in a row (snapshot reads racing volume outages: a rare
 #      interleaving one run seldom hits).
+#   5. the BENCH_13.json directory gate (DESIGN.md §2): create and
+#      64-byte read cost per operation at 10^5 objects within 1.5x of
+#      10^3. It runs last, so a failure there still fails the script but
+#      does not keep tiers 1-4 from running.
 #
 # The `exhaustion` label (resource-exhaustion/deadline suites, DESIGN.md
 # §11) rides in tiers 1 and 2 via its sanitizer/tsan labels and can be
@@ -283,6 +288,40 @@ echo "-- VolumeTortureTest.ConcurrentScrubWithVolumeFailure x50 --"
 EOS_JOURNAL_DIR="$POSTMORTEM_DIR" ./build/tests/volume_torture_test \
   --gtest_filter='VolumeTortureTest.ConcurrentScrubWithVolumeFailure' \
   --gtest_repeat=50 --gtest_brief=1
+
+echo "== [5] directory gate (committed BENCH_13.json, DESIGN.md §2) =="
+python3 - BENCH_13.json <<'PY'
+import json, sys
+
+vals = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        line = line.strip()
+        if not line:
+            continue
+        rec = json.loads(line)
+        if "metric" in rec:
+            vals[rec["metric"]] = rec["value"]
+
+def need(metric):
+    if metric not in vals:
+        print(f"directory gate: BENCH_13.json is missing '{metric}'")
+        sys.exit(1)
+    return vals[metric]
+
+failures = []
+for op in ("create", "read"):
+    growth = need(f"{op}_growth")
+    if growth > 1.5:
+        failures.append(f"{op} cost per operation grows {growth:.2f}x from "
+                        f"10^3 to 10^5 objects (> 1.5x)")
+if failures:
+    for f in failures:
+        print(f"directory gate: {f}")
+    sys.exit(1)
+print(f"directory gate: create {need('create_growth'):.2f}x, read "
+      f"{need('read_growth'):.2f}x from 10^3 to 10^5 objects")
+PY
 
 if compgen -G "$POSTMORTEM_DIR/eos_postmortem.*.json" > /dev/null; then
   echo "retained post-mortem journals (flight recorder, DESIGN.md §6):"
